@@ -1,9 +1,8 @@
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use rpt_core::{Database, Mode, QueryOptions, SchedulerKind};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use rpt_core::{Database, Mode, QueryOptions};
 use rpt_workloads::Workload;
 
-/// Scheduler overlap: the global morsel-driven worker pool vs the legacy
-/// scoped (pipeline × morsel thread-scope) scheduler, over the TPC-H
+/// Scheduler overlap: the work-stealing worker pool over the TPC-H
 /// workload tables with partitioned sinks. Alongside wall time, reports
 /// the partition-overlap counter — consumer partition tasks that started
 /// while their producer pipeline was still merging — and the pool's
@@ -17,12 +16,9 @@ fn bench(c: &mut Criterion) {
         db.register_table(t.clone());
     }
 
-    let opts = |kind: SchedulerKind| {
-        QueryOptions::new(Mode::RobustPredicateTransfer)
-            .with_scheduler(kind)
-            .with_partition_count(8)
-            .with_workers(4)
-    };
+    let opts = QueryOptions::new(Mode::RobustPredicateTransfer)
+        .with_partition_count(8)
+        .with_workers(4);
 
     // One-shot report: prove downstream partition tasks overlap producer
     // merges, and show the pool's task accounting.
@@ -30,7 +26,7 @@ fn bench(c: &mut Criterion) {
     let mut total_tasks = 0u64;
     for qd in w.acyclic_queries() {
         let r = db
-            .query(&qd.sql, &opts(SchedulerKind::Global))
+            .query(&qd.sql, &opts)
             .unwrap_or_else(|e| panic!("{}: {e}", qd.id));
         total_overlap += r.metrics.sched_overlap_tasks;
         total_tasks += r.metrics.sched_tasks;
@@ -47,19 +43,13 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("sched_overlap");
     g.sample_size(10);
-    for (name, kind) in [
-        ("global", SchedulerKind::Global),
-        ("scoped", SchedulerKind::Scoped),
-    ] {
-        let opts = opts(kind);
-        g.bench_with_input(BenchmarkId::new("tpch_acyclic", name), &opts, |b, opts| {
-            b.iter(|| {
-                for qd in w.acyclic_queries() {
-                    black_box(db.query(&qd.sql, opts).expect("query"));
-                }
-            })
-        });
-    }
+    g.bench_function("tpch_acyclic", |b| {
+        b.iter(|| {
+            for qd in w.acyclic_queries() {
+                black_box(db.query(&qd.sql, &opts).expect("query"));
+            }
+        })
+    });
     g.finish();
 }
 

@@ -34,8 +34,7 @@ pub struct PhysicalPlan {
     /// producer seals partition `p`. This covers aggregate output buffers
     /// too: a GROUP BY sink's merge seals one partition of its result per
     /// merge task, so e.g. the final re-projection pipeline starts on the
-    /// first sealed group partition. The scoped scheduler treats grains
-    /// opaquely and derives the same pipeline-level DAG.
+    /// first sealed group partition.
     pub deps: Vec<NodeDeps>,
     pub num_buffers: usize,
     pub num_filters: usize,

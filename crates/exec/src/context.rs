@@ -8,46 +8,6 @@ use std::sync::Mutex;
 
 use rpt_common::{Error, Result};
 
-/// Which pipeline scheduler executes a query's DAG.
-///
-/// `Global` is the default: one worker pool sized to the machine runs
-/// *every* task of the query — source-morsel claims, per-partition sink
-/// merges, finalizes — with readiness tracked per buffer *partition*, so a
-/// consumer pipeline starts on partition `p` the moment its producer seals
-/// `p`. `Scoped` is the legacy two-level model (a DAG worker pool that
-/// spawns a fresh morsel thread-scope per running pipeline); it is kept for
-/// parity testing and can be forced with `RPT_SCHEDULER=scoped`.
-/// `Stealing` keeps the global pool's readiness machinery but replaces its
-/// shared FIFO with per-worker deques plus an injector: workers push
-/// locally, pop LIFO, and steal FIFO from victims, with merge/finish tasks
-/// that unblock registered waiters promoted to a high-priority band.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchedulerKind {
-    /// One global morsel-driven worker pool with a unified task queue.
-    Global,
-    /// Legacy: DAG worker pool × per-pipeline morsel thread scopes.
-    Scoped,
-    /// Global pool with per-worker deques, work stealing, and two-level
-    /// priorities (`RPT_SCHEDULER=steal`).
-    Stealing,
-}
-
-impl SchedulerKind {
-    /// Process default: `RPT_SCHEDULER` (`global` / `scoped` / `steal`),
-    /// else Global.
-    pub fn from_env() -> SchedulerKind {
-        match std::env::var("RPT_SCHEDULER") {
-            Ok(v) if v.eq_ignore_ascii_case("scoped") || v.eq_ignore_ascii_case("legacy") => {
-                SchedulerKind::Scoped
-            }
-            Ok(v) if v.eq_ignore_ascii_case("steal") || v.eq_ignore_ascii_case("stealing") => {
-                SchedulerKind::Stealing
-            }
-            _ => SchedulerKind::Global,
-        }
-    }
-}
-
 /// Process default for the fixed-width aggregation fast path: enabled
 /// unless `RPT_AGG_FAST` is set to `off`/`0`/`false` (the generic
 /// encoded-key group table then handles every aggregate — the CI parity
@@ -234,9 +194,9 @@ pub struct Metrics {
     pub sched_wall_nanos: AtomicU64,
     /// Worker-pool size of the last global run.
     pub sched_workers: AtomicU64,
-    /// Tasks a worker popped from its own deque (stealing scheduler).
+    /// Tasks a worker popped from its own deque.
     pub sched_local_hits: AtomicU64,
-    /// Tasks taken from another worker's deque (stealing scheduler).
+    /// Tasks taken from another worker's deque.
     pub sched_steals: AtomicU64,
     /// Merge/finish tasks promoted to the high-priority band because a
     /// registered waiter blocks on the grains they seal.
@@ -536,11 +496,7 @@ pub struct ExecContext {
     /// classic unpartitioned sinks with a serial Combine merge). Defaults
     /// to `RPT_PARTITION_COUNT` when set.
     pub partition_count: usize,
-    /// Which scheduler executes DAG runs (defaults from `RPT_SCHEDULER`).
-    pub scheduler: SchedulerKind,
-    /// Global worker-pool size (defaults to `available_parallelism()`).
-    /// Only the global scheduler reads this; the scoped scheduler keeps
-    /// the legacy `pipeline_parallelism × threads` layering.
+    /// Worker-pool size (defaults to `available_parallelism()`).
     pub workers: usize,
     /// Emit per-task `[scheduler]` lifecycle trace entries
     /// (enqueue/start/finish with pipeline+partition ids). Defaults from
@@ -593,7 +549,6 @@ impl ExecContext {
             spill_limit_bytes: None,
             spill_dir: std::env::temp_dir(),
             partition_count: rpt_common::partition_count_from_env(),
-            scheduler: SchedulerKind::from_env(),
             workers: default_worker_count(),
             sched_trace: std::env::var("RPT_SCHED_TRACE").is_ok_and(|v| v == "1"),
             agg_fast: agg_fast_from_env(),
@@ -625,13 +580,7 @@ impl ExecContext {
         self
     }
 
-    /// Select the DAG scheduler.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Size the global worker pool.
+    /// Size the worker pool.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self

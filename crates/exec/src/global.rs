@@ -1,13 +1,10 @@
-//! The global morsel-driven scheduler: one worker pool, one task queue,
-//! partition-granular readiness.
+//! The engine's scheduler: one global morsel-driven worker pool with
+//! per-worker deques, work stealing, and partition-granular readiness.
 //!
-//! The scoped scheduler ([`crate::scheduler`]) layers two thread pools —
-//! `pipeline_parallelism` DAG workers, each spawning its own morsel scope —
-//! so thread counts multiply and a downstream pipeline cannot start until
-//! its entire input buffer is published. This module replaces both levels:
-//! every pipeline decomposes into *tasks* (source-morsel claims, one merge
+//! Every pipeline decomposes into *tasks* (source-morsel claims, one merge
 //! task per sink partition, a finalize) and a single pool of
-//! [`ExecContext::workers`] threads drains them all from one queue.
+//! [`ExecContext::workers`] threads drains them all, so thread counts never
+//! multiply across concurrently running pipelines.
 //!
 //! Readiness is tracked by an **event-count dependency graph** over
 //! partition-granular grains ([`ResourceId::BufferPart`]): a pipeline's
@@ -20,15 +17,22 @@
 //! merges all run as `Merge { pipe, part }` tasks, and an aggregate's
 //! sealed group partitions feed consumers exactly like collect buffers.
 //!
+//! Queue policy: each worker owns a two-band deque. Tasks a worker enqueues
+//! go to its own deque (popped LIFO, cache-warm); the initial seeds go to a
+//! shared injector; an idle worker steals FIFO (oldest first) from its
+//! peers. Merge/finish tasks whose sealed grains have registered waiters
+//! are promoted to the high band, which drains everywhere before any
+//! low-band task runs, so work that unblocks other pipelines goes first.
+//!
 //! Determinism: with `ctx.threads == 1` (the paper's default) each
 //! pipeline runs as an *ordered chain* — one morsel task at a time,
-//! partitions in index order — which consumes chunks in exactly the order
-//! the scoped single-threaded driver does, so results (including float
-//! aggregation order) are bit-identical across schedulers. With
+//! partitions in index order — so every pipeline consumes its chunks in
+//! the same order at any worker count, and results (including float
+//! aggregation order) are bit-identical across worker counts. With
 //! `ctx.threads > 1` morsels fan out and only multiset/ulp-level
-//! determinism is guaranteed, as in the scoped scheduler.
+//! determinism is guaranteed.
 
-use crate::context::{ExecContext, SchedulerKind};
+use crate::context::ExecContext;
 use crate::operators::{PartitionMerger, ResourceId, Resources, Sink};
 use crate::pipeline::{
     combine_finalize, push_through, record_pipeline_rows, PhysicalPipeline, PipelinePlan, RouteMode,
@@ -70,12 +74,12 @@ pub struct GlobalStats {
     pub worker_wall_nanos: u64,
     /// Worker-pool size used.
     pub workers: usize,
-    /// Tasks a worker popped from its own deque (stealing mode).
+    /// Tasks a worker popped from its own deque.
     pub local_hits: u64,
-    /// Tasks taken from another worker's deque (stealing mode).
+    /// Tasks taken from another worker's deque.
     pub steals: u64,
     /// Tasks enqueued into the high-priority band because the grains they
-    /// seal have registered waiters (stealing mode).
+    /// seal have registered waiters.
     pub priority_promotions: u64,
 }
 
@@ -93,9 +97,9 @@ enum Task {
     /// Merge and seal one sink partition (fires that partition's grains).
     Merge { pipe: usize, part: usize },
     /// Prefetch one partition's spilled runs from disk into memory so the
-    /// later `Merge` task restores from cache. Always low-band: it is pure
-    /// I/O overlap, never on the critical path, and touches no resource
-    /// grains (the slot mutex serializes it against the merge).
+    /// later `Merge` task restores from cache. It shares its merge's band
+    /// and touches no resource grains (the slot mutex serializes it against
+    /// the merge).
     SpillIo { pipe: usize, part: usize },
     /// Publish whole-resource results after all partition merges.
     Finish { pipe: usize },
@@ -183,29 +187,21 @@ impl BandedDeque {
     }
 }
 
-/// The pending-task store: one shared FIFO (`Global`), or per-worker
-/// deques plus an injector (`Stealing`). All operations happen under the
-/// scheduler mutex either way — on this engine the *policy* (what runs
-/// next, and from whose queue) is the experiment, not lock-freedom.
-enum TaskQueues {
-    Fifo(VecDeque<Task>),
-    Steal {
-        /// One deque per worker: owners push and pop at the back (LIFO,
-        /// cache-warm), thieves take from the front (FIFO, oldest work).
-        locals: Vec<BandedDeque>,
-        /// Overflow for tasks enqueued outside any worker (initial seeds).
-        injector: BandedDeque,
-    },
+/// The pending-task store: per-worker deques plus an injector. All
+/// operations happen under the scheduler mutex — on this engine the
+/// *policy* (what runs next, and from whose queue) matters, not
+/// lock-freedom.
+struct TaskQueues {
+    /// One deque per worker: owners push and pop at the back (LIFO,
+    /// cache-warm), thieves take from the front (FIFO, oldest work).
+    locals: Vec<BandedDeque>,
+    /// Overflow for tasks enqueued outside any worker (initial seeds).
+    injector: BandedDeque,
 }
 
 impl TaskQueues {
     fn len(&self) -> usize {
-        match self {
-            TaskQueues::Fifo(q) => q.len(),
-            TaskQueues::Steal { locals, injector } => {
-                injector.len() + locals.iter().map(BandedDeque::len).sum::<usize>()
-            }
-        }
+        self.injector.len() + self.locals.iter().map(BandedDeque::len).sum::<usize>()
     }
 }
 
@@ -213,7 +209,7 @@ impl TaskQueues {
 struct Sched {
     queue: TaskQueues,
     /// The worker currently applying task effects; its enqueues go to its
-    /// own deque in stealing mode (`None` during seeding → injector).
+    /// own deque (`None` during seeding → injector).
     current_worker: Option<usize>,
     pipes: Vec<PipeState>,
     completed: usize,
@@ -297,8 +293,9 @@ impl Engine<'_> {
 
     /// Is this a task whose completion seals grains that registered
     /// waiters block on? Those are the merge/finish tasks downstream
-    /// partition-granular consumers are stalled behind, and the stealing
-    /// scheduler runs them ahead of ordinary morsel work.
+    /// partition-granular consumers are stalled behind, and they run ahead
+    /// of ordinary morsel work. A merge's spill prefetch is its first half,
+    /// so it goes in the same band.
     fn is_priority(&self, task: &Task) -> bool {
         let waited = |g: ResourceId| {
             self.grains
@@ -306,7 +303,7 @@ impl Engine<'_> {
                 .is_some_and(|&gi| !self.waiters[gi].is_empty())
         };
         match *task {
-            Task::Merge { pipe, part } => self.info[pipe]
+            Task::Merge { pipe, part } | Task::SpillIo { pipe, part } => self.info[pipe]
                 .buffers_written
                 .iter()
                 .any(|&b| part < self.partitions && waited(ResourceId::BufferPart(b, part))),
@@ -321,59 +318,48 @@ impl Engine<'_> {
 
     fn enqueue(&self, s: &mut Sched, task: Task) {
         self.trace(s, "enqueue", &task);
-        match &mut s.queue {
-            TaskQueues::Fifo(q) => q.push_back(task),
-            TaskQueues::Steal { locals, injector } => {
-                let high = self.is_priority(&task);
-                if high {
-                    s.priority_promotions += 1;
-                }
-                match s.current_worker {
-                    Some(w) => locals[w].push(task, high),
-                    None => injector.push(task, high),
-                }
-            }
+        let high = self.is_priority(&task);
+        if high {
+            s.priority_promotions += 1;
+        }
+        match s.current_worker {
+            Some(w) => s.queue.locals[w].push(task, high),
+            None => s.queue.injector.push(task, high),
         }
         s.max_queue_depth = s.max_queue_depth.max(s.queue.len());
     }
 
-    /// Next task for worker `w`: under FIFO, the queue head; under
-    /// stealing, own high band LIFO → injector high → stolen high →
-    /// own low LIFO → injector low → stolen low, so the high band drains
-    /// globally before any low task runs.
+    /// Next task for worker `w`: own high band LIFO → injector high →
+    /// stolen high → own low LIFO → injector low → stolen low, so the high
+    /// band drains globally before any low task runs.
     fn pop_task(&self, s: &mut Sched, w: usize) -> Option<Task> {
-        match &mut s.queue {
-            TaskQueues::Fifo(q) => q.pop_front(),
-            TaskQueues::Steal { locals, injector } => {
-                let n = locals.len();
-                let victims = |from: usize| (1..n).map(move |d| (from + d) % n);
-                for high in [true, false] {
-                    let own = &mut locals[w];
-                    let band = if high { &mut own.high } else { &mut own.low };
-                    if let Some(t) = band.pop_back() {
-                        s.local_hits += 1;
-                        return Some(t);
-                    }
-                    let inj = if high {
-                        &mut injector.high
-                    } else {
-                        &mut injector.low
-                    };
-                    if let Some(t) = inj.pop_front() {
-                        return Some(t);
-                    }
-                    for v in victims(w) {
-                        let vic = &mut locals[v];
-                        let band = if high { &mut vic.high } else { &mut vic.low };
-                        if let Some(t) = band.pop_front() {
-                            s.steals += 1;
-                            return Some(t);
-                        }
-                    }
+        let TaskQueues { locals, injector } = &mut s.queue;
+        let n = locals.len();
+        for high in [true, false] {
+            let own = &mut locals[w];
+            let band = if high { &mut own.high } else { &mut own.low };
+            if let Some(t) = band.pop_back() {
+                s.local_hits += 1;
+                return Some(t);
+            }
+            let inj = if high {
+                &mut injector.high
+            } else {
+                &mut injector.low
+            };
+            if let Some(t) = inj.pop_front() {
+                return Some(t);
+            }
+            for v in (1..n).map(|d| (w + d) % n) {
+                let vic = &mut locals[v];
+                let band = if high { &mut vic.high } else { &mut vic.low };
+                if let Some(t) = band.pop_front() {
+                    s.steals += 1;
+                    return Some(t);
                 }
-                None
             }
         }
+        None
     }
 
     /// Start every group that is sealed, unstarted, and admissible under
@@ -639,15 +625,16 @@ impl Engine<'_> {
             (Task::MergeSetup { pipe }, Done::SetupPartitioned { parts, prefetch }) => {
                 s.pipes[pipe].merge_left = parts;
                 s.merge_tasks += parts as u64;
-                // Prefetch tasks are enqueued first so FIFO workers start
-                // the spill reads before the merges that consume them; they
-                // never gate completion (a prefetch racing its merge
-                // degrades to a no-op on the taken slot).
-                for part in prefetch {
-                    self.enqueue(s, Task::SpillIo { pipe, part });
-                }
+                // Prefetch tasks are enqueued after the merges: this worker
+                // pops its deque LIFO, so it runs the prefetches before the
+                // merges that consume them, while thieves take merges from
+                // the other end. Prefetches never gate completion (one
+                // racing its merge degrades to a no-op on the taken slot).
                 for part in 0..parts {
                     self.enqueue(s, Task::Merge { pipe, part });
+                }
+                for part in prefetch {
+                    self.enqueue(s, Task::SpillIo { pipe, part });
                 }
             }
             (Task::MergeSetup { pipe }, Done::SetupSerial) => {
@@ -723,7 +710,7 @@ impl Engine<'_> {
             // `cvar.wait` forever; as an error it wakes and drains them.
             let outcome =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.exec(task)))
-                    .unwrap_or_else(|_| Err(Error::Exec("scheduler task panicked".into())));
+                    .unwrap_or_else(|payload| Err(panic_error(payload.as_ref())));
             let busy = t0.elapsed().as_nanos() as u64;
 
             let mut s = self.state.lock().expect("scheduler state poisoned");
@@ -748,6 +735,17 @@ impl Engine<'_> {
             self.cvar.notify_all();
         }
     }
+}
+
+/// Turn a contained task panic into an `Error`, keeping the panic message
+/// (`panic!` payloads are a `&str` or a `String`).
+fn panic_error(payload: &(dyn std::any::Any + Send)) -> Error {
+    let msg = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload");
+    Error::Exec(format!("scheduler task panicked: {msg}"))
 }
 
 /// Run lowered pipelines on the global worker pool. `deps` may be recorded
@@ -873,14 +871,9 @@ pub fn run_physical_global(
     }
 
     let workers = workers.max(1);
-    let stealing = ctx.scheduler == SchedulerKind::Stealing;
-    let queue = if stealing {
-        TaskQueues::Steal {
-            locals: (0..workers).map(|_| BandedDeque::default()).collect(),
-            injector: BandedDeque::default(),
-        }
-    } else {
-        TaskQueues::Fifo(VecDeque::new())
+    let queue = TaskQueues {
+        locals: (0..workers).map(|_| BandedDeque::default()).collect(),
+        injector: BandedDeque::default(),
     };
     let engine = Engine {
         phys,
@@ -961,8 +954,7 @@ pub fn run_physical_global(
 }
 
 /// Lower a pipeline list and run it on the global pool, recording stats
-/// into the metrics trace (`[scheduler] …` entries, same vocabulary as the
-/// scoped scheduler plus the global-only counters).
+/// into the metrics trace (`[scheduler] …` entries).
 pub fn run_pipelines_global(
     pipelines: &[PipelinePlan],
     deps: &[NodeDeps],
@@ -981,9 +973,9 @@ pub fn run_pipelines_global(
     })
 }
 
-/// Record a finished global run: the classic `[scheduler]` trace entries
-/// plus the global-only counters (tasks, queue depth, overlap,
-/// utilization) and their `Metrics` counterparts.
+/// Record a finished run: the `[scheduler]` trace entries (pipelines,
+/// tasks, queue depth, overlap, stealing, utilization) and their `Metrics`
+/// counterparts.
 pub fn record_global_stats(ctx: &ExecContext, g: &GlobalStats) {
     let m = &ctx.metrics;
     m.add(&m.sched_tasks, g.tasks);

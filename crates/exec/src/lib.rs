@@ -18,10 +18,10 @@
 //!
 //! The planner in `rpt-core` compiles logical RPT plans into
 //! [`pipeline::PipelinePlan`]s. Those specs *lower* onto the physical
-//! operator traits in [`operators`] (`Source`/`Operator`/`Sink`), and the
-//! DAG [`scheduler`] executes pipelines concurrently whenever their
-//! buffer/filter/hash-table dependencies allow, via
-//! [`pipeline::Executor::run_dag`].
+//! operator traits in [`operators`] (`Source`/`Operator`/`Sink`), and one
+//! work-stealing worker pool ([`global`]) executes pipelines concurrently
+//! whenever their buffer/filter/hash-table dependencies ([`scheduler`])
+//! allow, via [`pipeline::Executor::run_dag`].
 
 pub mod aggregate;
 pub mod context;
@@ -37,8 +37,7 @@ pub use aggregate::{AggState, AggUpdateStats, AggregateState, ChunkKeys, KeyLayo
 pub use context::{
     agg_fast_from_env, default_worker_count, memory_budget_from_env, plan_verify_from_env,
     repartition_elide_from_env, spill_encoding_from_env, spill_prefetch_from_env,
-    storage_encoding_from_env, utilization_pct, ExecContext, Metrics, MetricsSummary,
-    SchedulerKind, VerifyMode,
+    storage_encoding_from_env, utilization_pct, ExecContext, Metrics, MetricsSummary, VerifyMode,
 };
 pub use expr::{
     prunable_conjuncts, prunable_utf8_conjuncts, AggExpr, AggFunc, ArithOp, CmpOp, Expr,
@@ -53,5 +52,5 @@ pub use operators::{
 pub use pipeline::{
     BloomSink, Executor, OpSpec, PhysicalPipeline, PipelinePlan, RouteMode, SinkSpec, SourceSpec,
 };
-pub use scheduler::{run_dag, NodeDeps, SchedulerStats};
+pub use scheduler::{NodeDeps, SchedulerStats};
 pub use wcoj::{generic_join, WcojRelation};

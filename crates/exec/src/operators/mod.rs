@@ -453,9 +453,8 @@ pub trait SinkFactory: Send + Sync {
     }
 
     /// Turn the workers' partitioned sink states into a merge plan whose
-    /// per-partition tasks the *caller* schedules — on the global worker
-    /// pool, or on the same scoped workers that ran the morsels. No fresh
-    /// thread scope is spawned for the merge.
+    /// per-partition tasks the *caller* schedules on the worker pool. No
+    /// fresh thread scope is spawned for the merge.
     fn make_merger(
         &self,
         _states: Vec<Box<dyn Sink>>,
@@ -468,9 +467,8 @@ pub trait SinkFactory: Send + Sync {
 
     /// Standalone partitioned merge: build the merger, run every partition
     /// task on the calling thread, finish, and record merge stats. The
-    /// pipeline drivers schedule the merger's tasks on their own workers
-    /// instead; this entry point serves direct sink harnesses (tests,
-    /// benchmarks).
+    /// worker pool schedules the merger's tasks as pool tasks instead; this
+    /// entry point serves direct sink harnesses (tests, benchmarks).
     fn merge_partitioned(
         &self,
         label: &str,

@@ -1,6 +1,6 @@
 //! The global morsel-driven scheduler: readiness/topology units, the
-//! partition-overlap rendezvous proof, and Global-vs-Scoped parity at the
-//! executor level.
+//! partition-overlap rendezvous proof, and worker/partition-count parity
+//! at the executor level.
 //!
 //! The rendezvous test is the acceptance check for partition-wise
 //! downstream scheduling: a producer whose partition-1 merge *blocks until
@@ -12,11 +12,10 @@
 use rpt_common::{DataChunk, DataType, Error, Field, Result, ScalarValue, Schema, Vector};
 use rpt_exec::operators::buffer::BufferSinkFactory;
 use rpt_exec::operators::{AggregateFactory, BufferScan};
-use rpt_exec::pipeline::run_physical;
 use rpt_exec::{
     run_physical_global, ExecContext, Executor, NodeDeps, OpSpec, Operator, PartitionMerger,
-    PhysicalPipeline, PipelinePlan, ResourceId, Resources, RouteMode, SchedulerKind, Sink,
-    SinkFactory, SinkSpec, SourceSpec,
+    PhysicalPipeline, PipelinePlan, ResourceId, Resources, RouteMode, Sink, SinkFactory, SinkSpec,
+    SourceSpec,
 };
 use rpt_storage::Table;
 use std::any::Any;
@@ -66,14 +65,13 @@ fn chained_buffers_execute_in_dependency_order() {
     for (workers, partitions) in [(1, 1), (2, 2), (4, 8)] {
         let t = table("t", (0..100).collect(), (0..100).collect());
         let ctx = ExecContext::new()
-            .with_scheduler(SchedulerKind::Global)
             .with_workers(workers)
             .with_partitions(partitions);
         let mut exec = Executor::new(ctx, 3, 0, 0);
         let p0 = collect_pipeline(SourceSpec::Table(t), vec![], 0);
         let p1 = collect_pipeline(SourceSpec::Buffer(0), vec![], 1);
         let p2 = collect_pipeline(SourceSpec::Buffer(1), vec![], 2);
-        exec.run_dag(&[p0, p1, p2], 4).unwrap();
+        exec.run_dag(&[p0, p1, p2]).unwrap();
         assert_eq!(
             exec.buffer_rows(2),
             100,
@@ -94,10 +92,7 @@ fn chained_buffers_execute_in_dependency_order() {
 fn probe_waits_for_hash_table_readiness() {
     let build = table("b", (0..50).collect(), (0..50).map(|x| x * 2).collect());
     let probe = table("p", (0..200).map(|i| i % 60).collect(), (0..200).collect());
-    let ctx = ExecContext::new()
-        .with_scheduler(SchedulerKind::Global)
-        .with_workers(4)
-        .with_partitions(4);
+    let ctx = ExecContext::new().with_workers(4).with_partitions(4);
     let mut exec = Executor::new(ctx, 1, 0, 1);
     let p_build = PipelinePlan {
         label: "build".into(),
@@ -123,7 +118,7 @@ fn probe_waits_for_hash_table_readiness() {
         }],
         0,
     );
-    exec.run_dag(&[p_probe, p_build], 4).unwrap();
+    exec.run_dag(&[p_probe, p_build]).unwrap();
     // keys 0..50 match; probe ids are i % 60 → 200 * 50/60
     let expected: u64 = (0..200).filter(|i| i % 60 < 50).count() as u64;
     assert_eq!(exec.buffer_rows(0), expected);
@@ -158,14 +153,11 @@ fn global_scheduler_rejects_cycles() {
 #[test]
 fn task_error_propagates_and_halts() {
     let t = table("t", (0..100).collect(), (0..100).collect());
-    let ctx = ExecContext::new()
-        .with_scheduler(SchedulerKind::Global)
-        .with_workers(2)
-        .with_budget(10); // first morsel blows the budget
+    let ctx = ExecContext::new().with_workers(2).with_budget(10); // first morsel blows the budget
     let mut exec = Executor::new(ctx, 2, 0, 0);
     let p0 = collect_pipeline(SourceSpec::Table(t), vec![], 0);
     let p1 = collect_pipeline(SourceSpec::Buffer(0), vec![], 1);
-    let err = exec.run_dag(&[p0, p1], 4).unwrap_err();
+    let err = exec.run_dag(&[p0, p1]).unwrap_err();
     assert!(err.is_budget(), "expected budget abort, got {err}");
 }
 
@@ -545,18 +537,17 @@ fn join_pipelines() -> Vec<PipelinePlan> {
     vec![p1, p2]
 }
 
-/// Global and Scoped produce identical result multisets across the
-/// `partition_count × worker-count` matrix; with `threads == 1` the chunk
-/// order is bit-identical too (ordered-chain determinism).
+/// One worker on one partition is the reference: every
+/// `partition_count × worker-count` point produces the same result
+/// multiset and the same work totals.
 #[test]
-fn global_matches_scoped_across_partition_matrix() {
-    let run = |kind: SchedulerKind, partitions: usize, workers: usize| {
+fn partition_worker_matrix_matches_single_worker_reference() {
+    let run = |partitions: usize, workers: usize| {
         let ctx = ExecContext::new()
-            .with_scheduler(kind)
             .with_workers(workers)
             .with_partitions(partitions);
         let mut exec = Executor::new(ctx, 1, 0, 1);
-        exec.run_dag(&join_pipelines(), workers).unwrap();
+        exec.run_dag(&join_pipelines()).unwrap();
         let mut rows: Vec<Vec<ScalarValue>> = exec
             .buffer(0)
             .unwrap()
@@ -566,42 +557,33 @@ fn global_matches_scoped_across_partition_matrix() {
         rows.sort_by_key(|r| (r[0].as_i64(), r[1].as_i64(), r[2].as_i64()));
         (rows, exec.ctx.metrics.summary())
     };
-    let (base_rows, base_m) = run(SchedulerKind::Scoped, 1, 1);
+    let (base_rows, base_m) = run(1, 1);
     for partitions in [1usize, 2, 8] {
         for workers in [1usize, 2, 8] {
-            let (rows, m) = run(SchedulerKind::Global, partitions, workers);
-            assert_eq!(
-                rows, base_rows,
-                "global pc={partitions} workers={workers} differs"
-            );
+            let (rows, m) = run(partitions, workers);
+            assert_eq!(rows, base_rows, "pc={partitions} workers={workers} differs");
             // Deterministic totals: same tuples flowed through the same
             // operators under any scheduling.
             assert_eq!(m.hash_build_rows, base_m.hash_build_rows);
             assert_eq!(m.join_output_rows, base_m.join_output_rows);
             assert_eq!(m.output_rows, base_m.output_rows);
-            let (srows, _) = run(SchedulerKind::Scoped, partitions, workers);
-            assert_eq!(
-                srows, base_rows,
-                "scoped pc={partitions} workers={workers} differs"
-            );
+            assert_eq!(m.intermediate_tuples, base_m.intermediate_tuples);
         }
     }
 }
 
-/// With `threads == 1` the global scheduler's ordered chains reproduce the
-/// scoped scheduler's buffer *chunk order* exactly, not just the multiset.
+/// With `threads == 1` the ordered chains make the buffer *chunk order*
+/// independent of the worker count, not just the multiset: any pool size
+/// reproduces the single-worker run exactly at the same partition count.
 #[test]
 fn ordered_chains_are_bit_deterministic() {
-    let run = |kind: SchedulerKind| {
-        let ctx = ExecContext::new()
-            .with_scheduler(kind)
-            .with_workers(2)
-            .with_partitions(4);
+    let run = |workers: usize| {
+        let ctx = ExecContext::new().with_workers(workers).with_partitions(4);
         let mut exec = Executor::new(ctx, 2, 0, 0);
         let t = table("t", (0..500).collect(), (0..500).collect());
         let p0 = collect_pipeline(SourceSpec::Table(t), vec![], 0);
         let p1 = collect_pipeline(SourceSpec::Buffer(0), vec![], 1);
-        exec.run_dag(&[p0, p1], 2).unwrap();
+        exec.run_dag(&[p0, p1]).unwrap();
         let chunks = exec.buffer(1).unwrap();
         chunks
             .iter()
@@ -609,22 +591,28 @@ fn ordered_chains_are_bit_deterministic() {
             .map(|r| r[0].as_i64().unwrap())
             .collect::<Vec<_>>()
     };
-    assert_eq!(run(SchedulerKind::Global), run(SchedulerKind::Scoped));
+    let reference = run(1);
+    assert_eq!(reference.len(), 500);
+    for workers in [2, 8] {
+        assert_eq!(run(workers), reference, "workers={workers}");
+    }
 }
 
-/// `run_physical` (scoped driver) merges partitioned sinks on its own
-/// morsel workers — sanity-check it end to end with several thread counts.
+/// Partitioned sinks merge as per-partition pool tasks at every morsel
+/// fan-out: one merge task per partition, every row published.
 #[test]
-fn scoped_driver_merges_on_morsel_workers() {
+fn partitioned_sink_merges_on_pool_workers() {
     for threads in [1usize, 2, 4] {
-        let ctx = ExecContext::new().with_threads(threads).with_partitions(4);
-        let res = Resources::with_partitions(1, 0, 0, 4);
+        let ctx = ExecContext::new()
+            .with_threads(threads)
+            .with_workers(threads)
+            .with_partitions(4);
+        let mut exec = Executor::new(ctx, 1, 0, 0);
         let t = table("t", (0..1000).collect(), (0..1000).collect());
-        let phys = collect_pipeline(SourceSpec::Table(t), vec![], 0).lower();
-        run_physical(&phys, &ctx, &res).unwrap();
-        let rows: usize = res.buffer(0).unwrap().iter().map(|c| c.num_rows()).sum();
-        assert_eq!(rows, 1000, "threads={threads}");
-        let s = ctx.metrics.summary();
+        exec.run_dag(&[collect_pipeline(SourceSpec::Table(t), vec![], 0)])
+            .unwrap();
+        assert_eq!(exec.buffer_rows(0), 1000, "threads={threads}");
+        let s = exec.ctx.metrics.summary();
         assert_eq!(s.merge_tasks, 4, "threads={threads}");
     }
 }

@@ -1,17 +1,16 @@
 //! Property tests for the work-stealing scheduler × the Preserve sink
 //! route: over random key streams and the full
 //! `partition_count {1..8} × workers {1..4}` matrix, a DAG whose
-//! consumers take partition-preserving routes under the stealing
-//! scheduler must produce exactly what the global FIFO produces with
-//! radix re-partitioning — and with `workers == 1` (the scheduler's
-//! ordered chains, `threads == 1` throughout) the output must be
-//! bit-identical, chunk order included.
+//! consumers take partition-preserving routes must produce exactly what
+//! radix re-partitioning produces — and with `workers == 1` (the
+//! scheduler's ordered chains, `threads == 1` throughout) the output must
+//! be bit-identical, chunk order included.
 
 use proptest::prelude::*;
 use rpt_common::{DataType, Field, ScalarValue, Schema, Vector};
 use rpt_exec::{
     AggExpr, AggFunc, BloomSink, ExecContext, Executor, Expr, OpSpec, PipelinePlan, RouteMode,
-    SchedulerKind, SinkSpec, SourceSpec,
+    SinkSpec, SourceSpec,
 };
 use rpt_storage::Table;
 use std::sync::Arc;
@@ -114,18 +113,15 @@ fn pipelines(keys: &[i64], route: RouteMode) -> Vec<PipelinePlan> {
 /// run's elided-chunk count.
 fn run(
     keys: &[i64],
-    sched: SchedulerKind,
     route: RouteMode,
     partitions: usize,
     workers: usize,
 ) -> (Vec<Vec<ScalarValue>>, u64) {
     let ctx = ExecContext::new()
-        .with_scheduler(sched)
         .with_workers(workers)
         .with_partitions(partitions);
     let mut exec = Executor::new(ctx, 3, 2, 0);
-    exec.run_dag(&pipelines(keys, route), workers.max(2))
-        .unwrap();
+    exec.run_dag(&pipelines(keys, route)).unwrap();
     let rows: Vec<Vec<ScalarValue>> = exec
         .buffer(2)
         .unwrap()
@@ -144,49 +140,32 @@ fn sorted(mut rows: Vec<Vec<ScalarValue>>) -> Vec<Vec<ScalarValue>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Stealing + Preserve ≡ global FIFO + radix: identical group rows
-    /// (exact sequence at `workers == 1`, multiset above), no elided
-    /// chunks on any radix leg, and elision engaged whenever the plan is
-    /// actually partitioned.
+    /// Preserve ≡ radix: identical group rows (exact sequence at
+    /// `workers == 1`, multiset above), no elided chunks on the radix leg,
+    /// and elision engaged whenever the plan is actually partitioned.
     #[test]
-    fn stealing_preserve_matches_fifo_radix(
+    fn preserve_matches_radix(
         keys in proptest::collection::vec(-60i64..60, 1..250),
         partitions in 1usize..=8,
         workers in 1usize..=4,
     ) {
-        let (base, base_elided) =
-            run(&keys, SchedulerKind::Global, RouteMode::Radix, partitions, workers);
+        let (base, base_elided) = run(&keys, RouteMode::Radix, partitions, workers);
         prop_assert_eq!(base_elided, 0, "radix leg elided chunks");
 
-        let legs = [
-            (SchedulerKind::Stealing, RouteMode::Radix),
-            (SchedulerKind::Global, RouteMode::Preserve),
-            (SchedulerKind::Stealing, RouteMode::Preserve),
-        ];
-        for (sched, route) in legs {
-            let (rows, elided) = run(&keys, sched, route, partitions, workers);
-            match route {
-                RouteMode::Radix => prop_assert_eq!(elided, 0, "{sched:?} radix elided"),
-                RouteMode::Preserve => {
-                    // Partitioned runs must take the preserved route at
-                    // least once per consumer (single-partition plans
-                    // legitimately fall back to plain `sink`).
-                    if partitions > 1 {
-                        prop_assert!(elided > 0, "{sched:?} preserve never elided");
-                    }
-                }
-            }
-            if workers == 1 {
-                prop_assert_eq!(
-                    &rows, &base,
-                    "{sched:?}/{route:?} pc={} differs bit-for-bit", partitions
-                );
-            } else {
-                prop_assert_eq!(
-                    sorted(rows), sorted(base.clone()),
-                    "{sched:?}/{route:?} pc={} workers={} differs", partitions, workers
-                );
-            }
+        let (rows, elided) = run(&keys, RouteMode::Preserve, partitions, workers);
+        // Partitioned runs must take the preserved route at least once per
+        // consumer (single-partition plans legitimately fall back to plain
+        // `sink`).
+        if partitions > 1 {
+            prop_assert!(elided > 0, "preserve never elided");
+        }
+        if workers == 1 {
+            prop_assert_eq!(&rows, &base, "pc={} differs bit-for-bit", partitions);
+        } else {
+            prop_assert_eq!(
+                sorted(rows), sorted(base),
+                "pc={} workers={} differs", partitions, workers
+            );
         }
     }
 
@@ -198,8 +177,8 @@ proptest! {
         keys in proptest::collection::vec(-60i64..60, 1..250),
         partitions in 1usize..=8,
     ) {
-        let (a, _) = run(&keys, SchedulerKind::Stealing, RouteMode::Preserve, partitions, 1);
-        let (b, _) = run(&keys, SchedulerKind::Stealing, RouteMode::Preserve, partitions, 1);
+        let (a, _) = run(&keys, RouteMode::Preserve, partitions, 1);
+        let (b, _) = run(&keys, RouteMode::Preserve, partitions, 1);
         prop_assert_eq!(a, b, "pc={} not deterministic", partitions);
     }
 }

@@ -1,9 +1,10 @@
-//! Scheduler + repartition-elision harness: runs corpus-style TPC-H /
-//! TPC-DS queries through three legs — global FIFO, the work-stealing
-//! priority scheduler, and FIFO with repartition elision disabled — checks
-//! row parity and counter engagement, times each leg, and writes the
-//! comparison to `BENCH_sched.json` (the checked-in benchmark artifact the
-//! roadmap tracks across PRs).
+//! Repartition-elision harness: runs corpus-style TPC-H / TPC-DS queries
+//! on the work-stealing worker pool with repartition elision on and off,
+//! checks row parity and counter engagement, times both legs, and writes
+//! the comparison to `BENCH_sched.json` (the checked-in benchmark artifact
+//! the roadmap tracks across PRs). The scheduler counters of the elision-on
+//! leg (steals, local hits, promotions, utilization) are reported
+//! alongside.
 //!
 //! Run from the repo root (release, or the numbers are meaningless):
 //!
@@ -11,7 +12,7 @@
 //! cargo run --release --example sched_bench
 //! ```
 
-use rpt::{Database, Mode, QueryOptions, SchedulerKind};
+use rpt::{Database, Mode, QueryOptions};
 use rpt_common::ScalarValue;
 use std::time::Instant;
 
@@ -119,23 +120,13 @@ fn main() {
         .with_partition_count(8)
         .with_threads(2)
         .with_workers(4);
-    let fifo = base
-        .clone()
-        .with_scheduler(SchedulerKind::Global)
-        .with_repartition_elide(true);
-    let steal = base
-        .clone()
-        .with_scheduler(SchedulerKind::Stealing)
-        .with_repartition_elide(true);
-    let noelide = base
-        .clone()
-        .with_scheduler(SchedulerKind::Global)
-        .with_repartition_elide(false);
+    let elide = base.clone().with_repartition_elide(true);
+    let noelide = base.clone().with_repartition_elide(false);
 
     let runs = 25;
     let mut entries = Vec::new();
-    let mut total_fifo = 0u64;
-    let mut total_steal = 0u64;
+    let mut total_elide = 0u64;
+    let mut total_noelide = 0u64;
     let mut queries_with_elision = 0usize;
     let mut total_steals = 0u64;
     for (workload, id, sql) in queries {
@@ -146,50 +137,45 @@ fn main() {
         };
 
         // Parity + engagement before timing anything.
-        let r_fifo = db.query(sql, &fifo).expect("fifo leg");
-        let r_steal = db.query(sql, &steal).expect("steal leg");
+        let r_on = db.query(sql, &elide).expect("elide leg");
         let r_off = db.query(sql, &noelide).expect("no-elide leg");
-        assert_rows_match(&r_fifo.rows, &r_steal.rows, &format!("{id}: fifo vs steal"));
-        assert_rows_match(&r_fifo.rows, &r_off.rows, &format!("{id}: elide on vs off"));
+        assert_rows_match(&r_on.rows, &r_off.rows, &format!("{id}: elide on vs off"));
         assert_eq!(
             r_off.metrics.repartition_elided_chunks, 0,
             "{id}: elided chunks while disabled"
         );
-        let elided = r_fifo.metrics.repartition_elided_chunks;
-        let steals = r_steal.metrics.sched_steals;
-        let local_hits = r_steal.metrics.sched_local_hits;
-        let promotions = r_steal.metrics.sched_priority_promotions;
-        let util = r_steal.metrics.scheduler_utilization_pct();
+        let elided = r_on.metrics.repartition_elided_chunks;
+        let steals = r_on.metrics.sched_steals;
+        let local_hits = r_on.metrics.sched_local_hits;
+        let promotions = r_on.metrics.sched_priority_promotions;
+        let util = r_on.metrics.scheduler_utilization_pct();
         if elided > 0 {
             queries_with_elision += 1;
         }
         total_steals += steals;
 
         // Warm up, then sample the legs interleaved.
-        time_legs(db, sql, &[&fifo], 3);
-        let timed = time_legs(db, sql, &[&fifo, &steal, &noelide], runs);
-        let (fifo_us, steal_us, noelide_us) = (timed[0], timed[1], timed[2]);
-        total_fifo += fifo_us;
-        total_steal += steal_us;
-        let steal_speedup = fifo_us as f64 / steal_us.max(1) as f64;
-        let elide_speedup = noelide_us as f64 / fifo_us.max(1) as f64;
+        time_legs(db, sql, &[&elide], 3);
+        let timed = time_legs(db, sql, &[&elide, &noelide], runs);
+        let (elide_us, noelide_us) = (timed[0], timed[1]);
+        total_elide += elide_us;
+        total_noelide += noelide_us;
+        let elide_speedup = noelide_us as f64 / elide_us.max(1) as f64;
         println!(
             "[sched_bench] {id}: rows={} elided={elided} steals={steals} \
-             local_hits={local_hits} promotions={promotions} util={util:.1}% \
-             fifo={fifo_us}us steal={steal_us}us noelide={noelide_us}us \
-             steal_speedup={steal_speedup:.2}x elide_speedup={elide_speedup:.2}x",
-            r_fifo.rows.len()
+             local_hits={local_hits} promotions={promotions} util={util}% \
+             elide={elide_us}us noelide={noelide_us}us elide_speedup={elide_speedup:.2}x",
+            r_on.rows.len()
         );
         entries.push(format!(
             "    {{\n      \"workload\": \"{workload}\",\n      \"query\": \"{id}\",\n      \
              \"rows\": {},\n      \"repartition_elided_chunks\": {elided},\n      \
              \"sched_steals\": {steals},\n      \"sched_local_hits\": {local_hits},\n      \
              \"sched_priority_promotions\": {promotions},\n      \
-             \"steal_utilization_pct\": {util:.1},\n      \"fifo_us\": {fifo_us},\n      \
-             \"steal_us\": {steal_us},\n      \"noelide_us\": {noelide_us},\n      \
-             \"steal_speedup\": {steal_speedup:.3},\n      \
+             \"utilization_pct\": {util},\n      \"elide_us\": {elide_us},\n      \
+             \"noelide_us\": {noelide_us},\n      \
              \"elide_speedup\": {elide_speedup:.3}\n    }}",
-            r_fifo.rows.len()
+            r_on.rows.len()
         ));
     }
 
@@ -199,14 +185,14 @@ fn main() {
     );
     assert!(total_steals > 0, "work-stealing scheduler never stole");
 
-    let total_speedup = total_fifo as f64 / total_steal.max(1) as f64;
+    let total_speedup = total_noelide as f64 / total_elide.max(1) as f64;
     let json = format!(
-        "{{\n  \"bench\": \"sched_steal_elide\",\n  \
+        "{{\n  \"bench\": \"sched_elide\",\n  \
          \"workloads\": \"tpch sf=1 seed=42, tpcds sf=1 seed=7\",\n  \
          \"config\": \"partition_count=8 threads=2 workers=4, best of {runs} interleaved runs\",\n  \
-         \"legs\": \"fifo=global+elide, steal=stealing+elide, noelide=global-no-elide\",\n  \
-         \"total_fifo_us\": {total_fifo},\n  \"total_steal_us\": {total_steal},\n  \
-         \"total_steal_speedup\": {total_speedup:.3},\n  \
+         \"legs\": \"elide=repartition elision on, noelide=elision off\",\n  \
+         \"total_elide_us\": {total_elide},\n  \"total_noelide_us\": {total_noelide},\n  \
+         \"total_elide_speedup\": {total_speedup:.3},\n  \
          \"queries_with_elision\": {queries_with_elision},\n  \"results\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
     );

@@ -10,7 +10,7 @@
 //! * `compressed_sync` — block-codec frames (FOR/RLE Int64, dict-code
 //!   Utf8), still restored inline: isolates the byte reduction;
 //! * `compressed_overlap` — block-codec frames plus `SpillIo` prefetch
-//!   tasks on the global scheduler, so restores are decoded while other
+//!   tasks on the worker pool, so restores are decoded while other
 //!   partitions still merge.
 //!
 //! Two query shapes, one per codec family: an Int64-heavy transfer join
@@ -23,7 +23,7 @@
 //! cargo run --release --example spill_bench
 //! ```
 
-use rpt::{Database, Mode, QueryOptions, SchedulerKind};
+use rpt::{Database, Mode, QueryOptions};
 use std::time::Instant;
 
 /// Median wall time per leg, in microseconds. Legs are interleaved within
@@ -76,7 +76,6 @@ fn main() {
     // prefetch toggle vary.
     let opts = |encoding: bool, prefetch: bool| {
         QueryOptions::new(Mode::RobustPredicateTransfer)
-            .with_scheduler(SchedulerKind::Global)
             .with_threads(2)
             .with_workers(2)
             .with_partition_count(4)

@@ -8,9 +8,7 @@ use rpt_common::hash::hash_i64;
 use rpt_common::{DataChunk, DataType, Field, Partitioner, ScalarValue, Schema, Vector};
 use rpt_core::{Database, Mode, QueryOptions};
 use rpt_exec::operators::buffer::{BufferSink, BufferSinkFactory};
-use rpt_exec::{
-    BloomSink, ExecContext, JoinHashTable, Resources, SchedulerKind, Sink, SinkFactory,
-};
+use rpt_exec::{BloomSink, ExecContext, JoinHashTable, Resources, Sink, SinkFactory};
 use rpt_storage::disk::{write_table, DiskTable};
 use rpt_storage::Table;
 use rpt_workloads::{tpch, Workload};
@@ -529,9 +527,40 @@ fn memory_governor_evicts_across_sinks_without_changing_results() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Overlapped spill restore on the global scheduler: with one worker the
-/// FIFO queue runs every `SpillIo` prefetch before the merge that consumes
-/// it, so every spilled partition restores from cache (`prefetch_hits`);
+/// Under a memory budget alone (no per-buffer cap), the governor's
+/// evictions write into `QueryOptions::spill_dir`, not the process temp
+/// directory: the directory is created on first spill.
+#[test]
+fn budget_spills_land_in_configured_spill_dir() {
+    let w = tpch(0.05, 56);
+    let db = database_for(&w);
+    let dir = std::env::temp_dir()
+        .join(format!("rpt_it_budgetdir_{}", std::process::id()))
+        .join("fresh");
+    std::fs::remove_dir_all(&dir).ok();
+    let qd = w.query("q3").unwrap();
+    let mut opts = QueryOptions::new(Mode::RobustPredicateTransfer)
+        .with_partition_count(4)
+        .with_memory_budget(Some(1024));
+    opts.spill_dir = dir.clone();
+    let r = db.query(&qd.sql, &opts).unwrap();
+    assert!(
+        r.metrics.spill_bytes_written > 0,
+        "a 1 KiB budget wrote no spill bytes: {:?}",
+        r.metrics
+    );
+    assert!(
+        dir.is_dir(),
+        "spill_dir {} was never created",
+        dir.display()
+    );
+    assert_eq!(count_spill_files(&dir), 0, "budgeted run leaked files");
+    std::fs::remove_dir_all(dir.parent().unwrap()).ok();
+}
+
+/// Overlapped spill restore on the worker pool: with one worker the LIFO
+/// deque runs every `SpillIo` prefetch before the merge that consumes it,
+/// so every spilled partition restores from cache (`prefetch_hits`);
 /// disabling prefetch forces the synchronous re-read path
 /// (`prefetch_misses`) — and with a single worker no overlap nanoseconds
 /// can ever be attributed. Both legs return identical rows.
@@ -543,7 +572,6 @@ fn spill_prefetch_hits_cache_under_global_scheduler() {
     let qd = w.query("q3").unwrap();
     let base = QueryOptions::new(Mode::RobustPredicateTransfer)
         .with_partition_count(4)
-        .with_scheduler(SchedulerKind::Global)
         .with_workers(1)
         .with_threads(1)
         .with_spill(1, &dir);
@@ -568,7 +596,7 @@ fn spill_prefetch_hits_cache_under_global_scheduler() {
         off.metrics
     );
     assert_eq!(off.metrics.spill_io_overlap_nanos, 0);
-    // threads == 1 on the global scheduler is bit-deterministic, so the
+    // threads == 1 on the worker pool is bit-deterministic, so the
     // two legs must agree exactly — prefetch only changes *where* restore
     // bytes come from, never their content or order.
     assert_eq!(on.rows, off.rows, "prefetch changed the result");
@@ -606,8 +634,8 @@ proptest! {
 
     /// Random join+GROUP BY instances: resident, forced decoded spill, and
     /// forced compressed spill return identical rows across partition
-    /// counts and all three schedulers (integer aggregates, so equality is
-    /// exact even on the multithreaded legs).
+    /// counts (integer aggregates, so equality is exact even on the
+    /// multithreaded legs).
     #[test]
     fn spill_legs_agree_with_resident(
         keys_a in proptest::collection::vec(0i64..12, 1..60),
@@ -618,29 +646,22 @@ proptest! {
         let sql = "SELECT pb.j, COUNT(*) AS c, SUM(pa.k) AS s FROM pa, pb \
                    WHERE pa.k = pb.k GROUP BY pb.j";
         for parts in [1usize, 8] {
-            for sched in [
-                SchedulerKind::Global,
-                SchedulerKind::Scoped,
-                SchedulerKind::Stealing,
-            ] {
-                let base = QueryOptions::new(Mode::RobustPredicateTransfer)
-                    .with_partition_count(parts)
-                    .with_scheduler(sched)
-                    .with_threads(2)
-                    .with_workers(4);
-                let resident = db.query(sql, &base).unwrap().sorted_rows();
-                // A 1-byte cap forces every chunk of every buffer to spill.
-                let decoded = db
-                    .query(sql, &base.clone().with_spill(1, &dir).with_spill_encoding(false))
-                    .unwrap()
-                    .sorted_rows();
-                let compressed = db
-                    .query(sql, &base.clone().with_spill(1, &dir).with_spill_encoding(true))
-                    .unwrap()
-                    .sorted_rows();
-                prop_assert_eq!(&resident, &decoded, "decoded parts={} {:?}", parts, sched);
-                prop_assert_eq!(&resident, &compressed, "compressed parts={} {:?}", parts, sched);
-            }
+            let base = QueryOptions::new(Mode::RobustPredicateTransfer)
+                .with_partition_count(parts)
+                .with_threads(2)
+                .with_workers(4);
+            let resident = db.query(sql, &base).unwrap().sorted_rows();
+            // A 1-byte cap forces every chunk of every buffer to spill.
+            let decoded = db
+                .query(sql, &base.clone().with_spill(1, &dir).with_spill_encoding(false))
+                .unwrap()
+                .sorted_rows();
+            let compressed = db
+                .query(sql, &base.clone().with_spill(1, &dir).with_spill_encoding(true))
+                .unwrap()
+                .sorted_rows();
+            prop_assert_eq!(&resident, &decoded, "decoded parts={}", parts);
+            prop_assert_eq!(&resident, &compressed, "compressed parts={}", parts);
         }
         prop_assert_eq!(count_spill_files(&dir), 0, "spill files leaked");
         std::fs::remove_dir_all(&dir).ok();

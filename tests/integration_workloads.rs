@@ -219,3 +219,20 @@ fn baseline_has_no_bloom_work_and_pt_variants_do() {
         .unwrap();
     assert_eq!(yan.metrics.bloom_build_rows, 0);
 }
+
+/// A panic inside a pool task (here: a non-boolean WHERE predicate, which
+/// the binder does not type-check yet) is contained as an `Error` that
+/// keeps the panic message, instead of unwinding through the caller.
+#[test]
+fn worker_panic_surfaces_as_error_with_message() {
+    let w = tpch(0.01, 1);
+    let db = database_for(&w);
+    let err = db
+        .query(
+            "SELECT COUNT(*) FROM orders WHERE o_orderkey",
+            &QueryOptions::new(Mode::RobustPredicateTransfer),
+        )
+        .expect_err("a non-boolean predicate must fail the query");
+    let msg = err.to_string();
+    assert!(msg.contains("expected Bool column"), "message lost: {msg}");
+}
