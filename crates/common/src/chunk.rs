@@ -112,11 +112,16 @@ impl DataChunk {
         }
     }
 
-    /// A flattened copy (self untouched).
+    /// A flattened copy (self untouched): gathers only the selected rows.
     pub fn flattened(&self) -> DataChunk {
-        let mut c = self.clone();
-        c.flatten();
-        c
+        match &self.selection {
+            Some(sel) => DataChunk {
+                columns: self.columns.iter().map(|c| c.take(sel)).collect(),
+                len: sel.len(),
+                selection: None,
+            },
+            None => self.clone(),
+        }
     }
 
     /// Keep only the given columns (logical projection).
@@ -142,11 +147,13 @@ impl DataChunk {
                 other.columns.len()
             )));
         }
-        let flat = other.flattened();
-        for (dst, src) in self.columns.iter_mut().zip(flat.columns.iter()) {
-            dst.append(src)?;
+        for (dst, src) in self.columns.iter_mut().zip(&other.columns) {
+            match &other.selection {
+                Some(sel) => dst.append(&src.take(sel))?,
+                None => dst.append(src)?,
+            }
         }
-        self.len += flat.len;
+        self.len += other.num_rows();
         Ok(())
     }
 

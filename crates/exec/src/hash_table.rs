@@ -3,44 +3,44 @@
 //! [`JoinHashTable`] per radix partition so builds can run per-partition in
 //! parallel, and routes every probe row to the single partition whose table
 //! can contain its matches (build and probe share the [`Partitioner`]).
+//!
+//! A [`JoinHashTable`] is a flat chained table over its build rows: a
+//! power-of-two `heads` array of chain starts, one `next` link per build
+//! row, and each row's stored key hash. Rows are linked in reverse, so
+//! every chain lists its build rows in ascending order and a probe row's
+//! matches come out in build-row order.
 
-use rpt_common::hash::hash_columns;
-use rpt_common::{ColumnData, DataChunk, DataType, Partitioner, Result, Vector};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use rpt_common::hash::{hash_columns, hash_columns_sel};
+use rpt_common::{ColumnData, DataChunk, DataType, Error, Partitioner, Result, Vector};
 use std::sync::Arc;
 
-/// The keys are already avalanche-mixed by `rpt_common::hash`, so the map
-/// uses an identity hasher.
-#[derive(Default)]
-pub struct IdentityHasher(u64);
+/// End of a chain (and the `heads` entry of an empty bucket); build row
+/// indices therefore stop one short of `u32::MAX`.
+const EMPTY: u32 = u32::MAX;
 
-impl Hasher for IdentityHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("IdentityHasher only accepts u64 keys");
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-}
-
-/// `u64 → V` map keyed by an already-mixed hash (shared with the
-/// aggregation group table, whose group-key hashes are pre-avalanched the
-/// same way).
-pub type IdentityMap<V> = HashMap<u64, V, BuildHasherDefault<IdentityHasher>>;
-
-/// A materialized build side: all build rows (flattened) plus a hash → row
-/// index multimap on the key columns.
+/// A materialized build side: all build rows (flattened) plus a chained
+/// hash index on the key columns.
 pub struct JoinHashTable {
     /// Flattened build-side rows (all columns).
     pub data: DataChunk,
     pub key_cols: Vec<usize>,
-    map: IdentityMap<Vec<u32>>,
+    /// First build row of each bucket's chain (`EMPTY` if none); the bucket
+    /// of a key hash is its low bits.
+    heads: Vec<u32>,
+    /// Next build row in the same chain, per build row.
+    next: Vec<u32>,
+    /// Key hash per build row, compared before any key column.
+    row_hash: Vec<u64>,
+    /// The key is one plain `Int64` column (see [`hash_is_key`]).
+    int_key: bool,
+}
+
+/// Whether equal hashes of keys `cols` mean equal keys. `hash_i64` is a
+/// bijection (an odd multiplier, then the invertible fmix64 finalizer), so
+/// they do for a single plain `Int64` column, and a probe between two such
+/// keys skips the key-column comparison.
+fn hash_is_key(cols: &[&Vector]) -> bool {
+    matches!(cols, [c] if c.dict.is_none() && matches!(c.data, ColumnData::Int64(_)))
 }
 
 /// Typed row-vs-row equality on one column (NULLs never equal).
@@ -71,49 +71,119 @@ fn values_equal(a: &Vector, ia: usize, b: &Vector, ib: usize) -> bool {
     }
 }
 
-/// Gather probe key columns over the logical rows of a chunk.
-fn gather_probe_keys(chunk: &DataChunk, probe_keys: &[usize]) -> Vec<Vector> {
-    probe_keys
-        .iter()
-        .map(|&k| match &chunk.selection {
-            Some(sel) => chunk.columns[k].take(sel),
-            None => chunk.columns[k].clone(),
+/// A build side's row count as a `u32` bound on its row indices. `EMPTY`
+/// is reserved, so one table (one partition) holds fewer than `u32::MAX`
+/// rows.
+fn row_count(n: usize) -> Result<u32> {
+    u32::try_from(n)
+        .ok()
+        .filter(|&rows| rows != EMPTY)
+        .ok_or_else(|| {
+            Error::Exec(format!(
+                "hash-join build side has {n} rows; one partition holds at most {}",
+                EMPTY - 1
+            ))
         })
-        .collect()
+}
+
+/// The one probe loop behind every probe of a [`JoinHashTable`] or a
+/// [`PartitionedHashTable`]. Each logical row of `chunk` with a non-NULL
+/// key (on `probe_keys`) goes to the table its key hash routes to, and
+/// `on_match(logical row, table, build row)` sees that row's matches in
+/// ascending build-row order until it returns `false`. Rows are visited in
+/// ascending order.
+fn probe_chunk(
+    tables: &[JoinHashTable],
+    partitioner: &Partitioner,
+    chunk: &DataChunk,
+    probe_keys: &[usize],
+    mut on_match: impl FnMut(u32, usize, u32) -> bool,
+) {
+    // Keys are hashed and compared in place, through the selection.
+    let cols: Vec<&Vector> = probe_keys.iter().map(|&k| &chunk.columns[k]).collect();
+    let sel = chunk.selection.as_deref();
+    let hashes = hash_columns_sel(&cols, sel, chunk.num_rows());
+    let int_key = hash_is_key(&cols);
+    // Every row's chain start first: independent loads the CPU overlaps.
+    let starts: Vec<u32> = hashes
+        .iter()
+        .map(|&h| match h {
+            u64::MAX => EMPTY, // NULL key: never matches
+            _ => tables[partitioner.of_hash(h)].chain_start(h),
+        })
+        .collect();
+    for (row, (&start, &h)) in starts.iter().zip(&hashes).enumerate() {
+        if start == EMPTY {
+            continue;
+        }
+        let table = partitioner.of_hash(h);
+        let t = &tables[table];
+        let verify = !(int_key && t.int_key);
+        let phys = sel.map_or(row, |s| s[row] as usize);
+        t.walk(start, &cols, phys, h, verify, |b| {
+            on_match(row as u32, table, b)
+        });
+    }
+}
+
+/// The logical rows of `chunk` with at least one match: [`probe_chunk`]
+/// stopping at each row's first match.
+fn semi_probe_chunk(
+    tables: &[JoinHashTable],
+    partitioner: &Partitioner,
+    chunk: &DataChunk,
+    probe_keys: &[usize],
+) -> Vec<u32> {
+    let mut out = Vec::new();
+    probe_chunk(tables, partitioner, chunk, probe_keys, |row, _, _| {
+        out.push(row);
+        false
+    });
+    out
 }
 
 impl JoinHashTable {
-    /// Build from pre-flattened chunks.
+    /// Build from chunks (their selections are respected).
     pub fn build(chunks: &[DataChunk], key_cols: Vec<usize>) -> Result<JoinHashTable> {
-        // Concatenate.
-        let mut data = match chunks.first() {
-            Some(first) => {
-                let flat = first.flattened();
-                let mut acc = flat;
-                for c in &chunks[1..] {
+        let data = match chunks.split_first() {
+            Some((first, rest)) => {
+                let mut acc = first.flattened();
+                for c in rest {
                     acc.append(c)?;
                 }
                 acc
             }
             None => DataChunk::default(),
         };
-        data.flatten();
         let n = data.num_rows();
-        let mut map: IdentityMap<Vec<u32>> = IdentityMap::default();
-        if n > 0 {
+        let rows = row_count(n)?;
+        // An empty build side may have no columns at all (`build(&[], ..)`).
+        let (row_hash, int_key) = if n == 0 {
+            (Vec::new(), false)
+        } else {
             let keys: Vec<&Vector> = key_cols.iter().map(|&k| &data.columns[k]).collect();
-            let hashes = hash_columns(&keys, n);
-            for (row, &h) in hashes.iter().enumerate() {
-                if h == u64::MAX {
-                    continue; // NULL key: never matches
-                }
-                map.entry(h).or_default().push(row as u32);
+            (hash_columns(&keys, n), hash_is_key(&keys))
+        };
+        let mask = (2 * n).next_power_of_two() - 1;
+        let mut heads = vec![EMPTY; mask + 1];
+        let mut next = vec![EMPTY; n];
+        // Link in reverse so each chain lists its rows in ascending order.
+        for row in (0..rows).rev() {
+            let h = row_hash[row as usize];
+            if h == u64::MAX {
+                continue; // NULL key: never matches
             }
+            let head = &mut heads[h as usize & mask];
+            next[row as usize] = *head;
+            *head = row;
         }
         Ok(JoinHashTable {
             data,
             key_cols,
-            map,
+            heads,
+            next,
+            row_hash,
+            int_key,
         })
     }
 
@@ -121,42 +191,48 @@ impl JoinHashTable {
         self.data.num_rows()
     }
 
-    /// Emit every build row matching logical probe row `row` (whose gathered
-    /// key vectors and row hash are precomputed).
+    /// First build row of the chain `hash` falls in (`EMPTY` if none).
     #[inline]
-    fn matches_into(&self, gathered: &[Vector], row: usize, hash: u64, out: &mut impl FnMut(u32)) {
-        if let Some(cands) = self.map.get(&hash) {
-            for &b in cands {
-                let ok = self
-                    .key_cols
-                    .iter()
-                    .zip(gathered.iter())
-                    .all(|(&kc, pv)| values_equal(pv, row, &self.data.columns[kc], b as usize));
-                if ok {
-                    out(b);
-                }
-            }
-        }
+    fn chain_start(&self, hash: u64) -> u32 {
+        self.heads[hash as usize & (self.heads.len() - 1)]
     }
 
-    /// Does logical probe row `row` have at least one match?
+    /// Walk the chain from build row `at`: call `on_match` with every build
+    /// row whose key equals row `row` of the probe key columns `probe` (key
+    /// hash `hash`), in ascending order, until it returns `false`. Without
+    /// `verify`, equal hashes are taken as equal keys.
     #[inline]
-    fn has_match(&self, gathered: &[Vector], row: usize, hash: u64) -> bool {
-        match self.map.get(&hash) {
-            Some(cands) => cands.iter().any(|&b| {
-                self.key_cols
-                    .iter()
-                    .zip(gathered.iter())
-                    .all(|(&kc, pv)| values_equal(pv, row, &self.data.columns[kc], b as usize))
-            }),
-            None => false,
+    fn walk(
+        &self,
+        mut at: u32,
+        probe: &[&Vector],
+        row: usize,
+        hash: u64,
+        verify: bool,
+        mut on_match: impl FnMut(u32) -> bool,
+    ) {
+        while at != EMPTY {
+            let b = at as usize;
+            if self.row_hash[b] == hash
+                && (!verify
+                    || self
+                        .key_cols
+                        .iter()
+                        .zip(probe)
+                        .all(|(&kc, pv)| values_equal(pv, row, &self.data.columns[kc], b)))
+                && !on_match(at)
+            {
+                return;
+            }
+            at = self.next[b];
         }
     }
 
     /// Hash-join probe: for each logical row of `chunk` (keyed on
     /// `probe_keys`), emit one `(logical_probe_row, build_row)` pair per
-    /// match. Duplicates on the build side produce multiple pairs — this is
-    /// where non-robust join orders blow up.
+    /// match, in probe-row order and, within a probe row, in ascending
+    /// build-row order. Duplicates on the build side produce multiple
+    /// pairs — this is where non-robust join orders blow up.
     pub fn probe(
         &self,
         chunk: &DataChunk,
@@ -164,45 +240,32 @@ impl JoinHashTable {
         probe_out: &mut Vec<u32>,
         build_out: &mut Vec<u32>,
     ) {
-        let n = chunk.num_rows();
-        if n == 0 || self.num_rows() == 0 {
+        if self.num_rows() == 0 {
             return;
         }
-        let gathered = gather_probe_keys(chunk, probe_keys);
-        let refs: Vec<&Vector> = gathered.iter().collect();
-        let hashes = hash_columns(&refs, n);
-        for (row, &h) in hashes.iter().enumerate() {
-            if h == u64::MAX {
-                continue;
-            }
-            self.matches_into(&gathered, row, h, &mut |b| {
-                probe_out.push(row as u32);
+        probe_chunk(
+            std::slice::from_ref(self),
+            &Partitioner::new(1),
+            chunk,
+            probe_keys,
+            |row, _, b| {
+                probe_out.push(row);
                 build_out.push(b);
-            });
-        }
+                true
+            },
+        );
     }
 
     /// Exact semi-join probe: logical rows of `chunk` with ≥ 1 match
     /// (no duplication). This is the hash-based semi-join of the classic
     /// Yannakakis algorithm.
     pub fn semi_probe(&self, chunk: &DataChunk, probe_keys: &[usize]) -> Vec<u32> {
-        let n = chunk.num_rows();
-        let mut out = Vec::new();
-        if n == 0 {
-            return out;
-        }
-        let gathered = gather_probe_keys(chunk, probe_keys);
-        let refs: Vec<&Vector> = gathered.iter().collect();
-        let hashes = hash_columns(&refs, n);
-        for (row, &h) in hashes.iter().enumerate() {
-            if h == u64::MAX {
-                continue;
-            }
-            if self.has_match(&gathered, row, h) {
-                out.push(row as u32);
-            }
-        }
-        out
+        semi_probe_chunk(
+            std::slice::from_ref(self),
+            &Partitioner::new(1),
+            chunk,
+            probe_keys,
+        )
     }
 }
 
@@ -212,7 +275,7 @@ pub type BuildRef = (u32, u32);
 
 /// One [`JoinHashTable`] per radix partition, with probes routed by the
 /// same key hash the build side partitioned on. With one partition this
-/// degenerates to a plain wrapped table (and keeps the fast paths).
+/// degenerates to a plain wrapped table.
 pub struct PartitionedHashTable {
     parts: Vec<JoinHashTable>,
     partitioner: Partitioner,
@@ -262,49 +325,25 @@ impl PartitionedHashTable {
         probe_out: &mut Vec<u32>,
         build_out: &mut Vec<BuildRef>,
     ) {
-        let n = chunk.num_rows();
-        if n == 0 || self.num_rows() == 0 {
+        if self.num_rows() == 0 {
             return;
         }
-        // With one partition `of_hash` is constant 0, so this is exactly
-        // the unpartitioned probe loop — no temporaries, no extra branch.
-        let gathered = gather_probe_keys(chunk, probe_keys);
-        let refs: Vec<&Vector> = gathered.iter().collect();
-        let hashes = hash_columns(&refs, n);
-        for (row, &h) in hashes.iter().enumerate() {
-            if h == u64::MAX {
-                continue;
-            }
-            let part = self.partitioner.of_hash(h) as u32;
-            self.parts[part as usize].matches_into(&gathered, row, h, &mut |b| {
-                probe_out.push(row as u32);
-                build_out.push((part, b));
-            });
-        }
+        probe_chunk(
+            &self.parts,
+            &self.partitioner,
+            chunk,
+            probe_keys,
+            |row, part, b| {
+                probe_out.push(row);
+                build_out.push((part as u32, b));
+                true
+            },
+        );
     }
 
     /// Exact semi-join probe (see [`JoinHashTable::semi_probe`]).
     pub fn semi_probe(&self, chunk: &DataChunk, probe_keys: &[usize]) -> Vec<u32> {
-        if self.parts.len() == 1 {
-            return self.parts[0].semi_probe(chunk, probe_keys);
-        }
-        let n = chunk.num_rows();
-        let mut out = Vec::new();
-        if n == 0 {
-            return out;
-        }
-        let gathered = gather_probe_keys(chunk, probe_keys);
-        let refs: Vec<&Vector> = gathered.iter().collect();
-        let hashes = hash_columns(&refs, n);
-        for (row, &h) in hashes.iter().enumerate() {
-            if h == u64::MAX {
-                continue;
-            }
-            if self.parts[self.partitioner.of_hash(h)].has_match(&gathered, row, h) {
-                out.push(row as u32);
-            }
-        }
-        out
+        semi_probe_chunk(&self.parts, &self.partitioner, chunk, probe_keys)
     }
 
     /// Gather build-side column `col` for the given probe matches (the
@@ -367,11 +406,18 @@ mod tests {
         let probe = DataChunk::new(vec![Vector::from_i64(vec![2, 5, 1])]);
         let (mut p, mut b) = (vec![], vec![]);
         ht.probe(&probe, &[0], &mut p, &mut b);
-        // key 2 matches build rows 1 and 2; key 1 matches build row 0.
+        // key 2 matches build rows 1 and 2 (ascending); key 1 matches
+        // build row 0.
         assert_eq!(p, vec![0, 0, 2]);
-        let mut bs = b.clone();
-        bs.sort_unstable();
-        assert_eq!(bs, vec![0, 1, 2]);
+        assert_eq!(b, vec![1, 2, 0]);
+    }
+
+    #[test]
+    fn row_count_reserves_the_empty_sentinel() {
+        assert_eq!(row_count(0).unwrap(), 0);
+        assert_eq!(row_count(EMPTY as usize - 1).unwrap(), EMPTY - 1);
+        assert!(matches!(row_count(EMPTY as usize), Err(Error::Exec(_))));
+        assert!(matches!(row_count(usize::MAX), Err(Error::Exec(_))));
     }
 
     #[test]
@@ -425,6 +471,30 @@ mod tests {
         assert_eq!(p, vec![1]); // only the non-null key matches
         assert_eq!(b, vec![0]);
         assert_eq!(ht.semi_probe(&probe, &[0]), vec![1]);
+    }
+
+    #[test]
+    fn equal_hashes_of_different_key_types_never_match() {
+        // `false`/`true` hash like the integers 0 and 1, and 2.0 like the
+        // integer with its bit pattern; only same-typed keys compare equal.
+        let ht = JoinHashTable::build(
+            &[DataChunk::new(vec![Vector::from_i64(vec![
+                0,
+                1,
+                2.0f64.to_bits() as i64,
+            ])])],
+            vec![0],
+        )
+        .unwrap();
+        for probe in [
+            DataChunk::new(vec![Vector::from_bool(vec![false, true])]),
+            DataChunk::new(vec![Vector::from_f64(vec![2.0])]),
+        ] {
+            let (mut p, mut b) = (vec![], vec![]);
+            ht.probe(&probe, &[0], &mut p, &mut b);
+            assert!(p.is_empty() && b.is_empty());
+            assert!(ht.semi_probe(&probe, &[0]).is_empty());
+        }
     }
 
     #[test]

@@ -63,13 +63,14 @@ fn build_partition(
 }
 
 impl Sink for HashBuildSink {
-    fn sink(&mut self, chunk: DataChunk, ctx: &ExecContext) -> Result<()> {
+    fn sink(&mut self, mut chunk: DataChunk, ctx: &ExecContext) -> Result<()> {
         let n = chunk.num_rows() as u64;
         insert_into_blooms(&chunk, &mut self.blooms, ctx);
         ctx.metrics.add(&ctx.metrics.hash_build_rows, n);
         self.report_residency(chunk_size_bytes(&chunk));
         if self.partitioner.is_single() {
-            self.parts[0].push(chunk.flattened());
+            chunk.flatten();
+            self.parts[0].push(chunk);
         } else {
             let hashes = super::key_hashes(&chunk, &self.key_cols);
             for (p, sub) in self
@@ -87,7 +88,7 @@ impl Sink for HashBuildSink {
         Ok(())
     }
 
-    fn sink_part(&mut self, chunk: DataChunk, part: usize, ctx: &ExecContext) -> Result<()> {
+    fn sink_part(&mut self, mut chunk: DataChunk, part: usize, ctx: &ExecContext) -> Result<()> {
         if self.partitioner.is_single() {
             return self.sink(chunk, ctx);
         }
@@ -97,7 +98,8 @@ impl Sink for HashBuildSink {
         ctx.metrics.add(&ctx.metrics.hash_build_rows, n);
         self.report_residency(chunk_size_bytes(&chunk));
         ctx.metrics.add(&ctx.metrics.repartition_elided_chunks, 1);
-        self.parts[part].push(chunk.flattened());
+        chunk.flatten();
+        self.parts[part].push(chunk);
         self.rows = self.rows.saturating_add(n);
         Ok(())
     }

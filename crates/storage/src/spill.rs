@@ -160,8 +160,8 @@ impl SpillBuffer {
     }
 
     /// Append a chunk (flattens it first so spilled bytes are exact).
-    pub fn push(&mut self, chunk: DataChunk) -> Result<()> {
-        let flat = chunk.flattened();
+    pub fn push(&mut self, mut flat: DataChunk) -> Result<()> {
+        flat.flatten();
         if flat.num_rows() == 0 {
             return Ok(());
         }
