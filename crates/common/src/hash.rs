@@ -20,9 +20,7 @@ pub fn mix64(mut h: u64) -> u64 {
     h
 }
 
-/// Hash a single `i64` key. A bijection (an odd multiplier, then the
-/// invertible fmix64 finalizer): hash joins on one `Int64` key column rely
-/// on equal hashes meaning equal keys.
+/// Hash a single `i64` key.
 #[inline(always)]
 pub fn hash_i64(v: i64) -> u64 {
     mix64((v as u64).wrapping_mul(SEED))
@@ -163,31 +161,6 @@ mod tests {
         let a = combine(hash_i64(1), hash_i64(2));
         let b = combine(hash_i64(2), hash_i64(1));
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn i64_hash_is_invertible() {
-        // Multiplicative inverse of an odd `a` modulo 2^64 (Newton).
-        let inv = |a: u64| {
-            (0..5).fold(a, |x, _| {
-                x.wrapping_mul(2u64.wrapping_sub(a.wrapping_mul(x)))
-            })
-        };
-        // `h ^= h >> 33` is its own inverse.
-        let unshift = |h: u64| h ^ (h >> 33);
-        let unhash = |h: u64| {
-            let h = unshift(h).wrapping_mul(inv(0xc4ce_b9fe_1a85_ec53));
-            let h = unshift(h).wrapping_mul(inv(0xff51_afd7_ed55_8ccd));
-            (unshift(h).wrapping_mul(inv(SEED))) as i64
-        };
-        let mut v: i64 = 0x1234_5678_9abc_def0;
-        for _ in 0..10_000 {
-            assert_eq!(unhash(hash_i64(v)), v);
-            v = v.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-        }
-        for v in [0, 1, -1, i64::MIN, i64::MAX] {
-            assert_eq!(unhash(hash_i64(v)), v);
-        }
     }
 
     #[test]

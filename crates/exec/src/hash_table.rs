@@ -31,16 +31,6 @@ pub struct JoinHashTable {
     next: Vec<u32>,
     /// Key hash per build row, compared before any key column.
     row_hash: Vec<u64>,
-    /// The key is one plain `Int64` column (see [`hash_is_key`]).
-    int_key: bool,
-}
-
-/// Whether equal hashes of keys `cols` mean equal keys. `hash_i64` is a
-/// bijection (an odd multiplier, then the invertible fmix64 finalizer), so
-/// they do for a single plain `Int64` column, and a probe between two such
-/// keys skips the key-column comparison.
-fn hash_is_key(cols: &[&Vector]) -> bool {
-    matches!(cols, [c] if c.dict.is_none() && matches!(c.data, ColumnData::Int64(_)))
 }
 
 /// Typed row-vs-row equality on one column (NULLs never equal).
@@ -103,26 +93,13 @@ fn probe_chunk(
     let cols: Vec<&Vector> = probe_keys.iter().map(|&k| &chunk.columns[k]).collect();
     let sel = chunk.selection.as_deref();
     let hashes = hash_columns_sel(&cols, sel, chunk.num_rows());
-    let int_key = hash_is_key(&cols);
-    // Every row's chain start first: independent loads the CPU overlaps.
-    let starts: Vec<u32> = hashes
-        .iter()
-        .map(|&h| match h {
-            u64::MAX => EMPTY, // NULL key: never matches
-            _ => tables[partitioner.of_hash(h)].chain_start(h),
-        })
-        .collect();
-    for (row, (&start, &h)) in starts.iter().zip(&hashes).enumerate() {
-        if start == EMPTY {
-            continue;
+    for (row, &h) in hashes.iter().enumerate() {
+        if h == u64::MAX {
+            continue; // NULL key: never matches
         }
         let table = partitioner.of_hash(h);
-        let t = &tables[table];
-        let verify = !(int_key && t.int_key);
         let phys = sel.map_or(row, |s| s[row] as usize);
-        t.walk(start, &cols, phys, h, verify, |b| {
-            on_match(row as u32, table, b)
-        });
+        tables[table].walk(h, &cols, phys, |b| on_match(row as u32, table, b));
     }
 }
 
@@ -158,11 +135,11 @@ impl JoinHashTable {
         let n = data.num_rows();
         let rows = row_count(n)?;
         // An empty build side may have no columns at all (`build(&[], ..)`).
-        let (row_hash, int_key) = if n == 0 {
-            (Vec::new(), false)
+        let row_hash = if n == 0 {
+            Vec::new()
         } else {
             let keys: Vec<&Vector> = key_cols.iter().map(|&k| &data.columns[k]).collect();
-            (hash_columns(&keys, n), hash_is_key(&keys))
+            hash_columns(&keys, n)
         };
         let mask = (2 * n).next_power_of_two() - 1;
         let mut heads = vec![EMPTY; mask + 1];
@@ -183,7 +160,6 @@ impl JoinHashTable {
             heads,
             next,
             row_hash,
-            int_key,
         })
     }
 
@@ -191,35 +167,26 @@ impl JoinHashTable {
         self.data.num_rows()
     }
 
-    /// First build row of the chain `hash` falls in (`EMPTY` if none).
-    #[inline]
-    fn chain_start(&self, hash: u64) -> u32 {
-        self.heads[hash as usize & (self.heads.len() - 1)]
-    }
-
-    /// Walk the chain from build row `at`: call `on_match` with every build
-    /// row whose key equals row `row` of the probe key columns `probe` (key
-    /// hash `hash`), in ascending order, until it returns `false`. Without
-    /// `verify`, equal hashes are taken as equal keys.
+    /// Walk the chain of key hash `hash`: call `on_match` with every build
+    /// row whose key equals row `row` of the probe key columns `probe`, in
+    /// ascending order, until it returns `false`.
     #[inline]
     fn walk(
         &self,
-        mut at: u32,
+        hash: u64,
         probe: &[&Vector],
         row: usize,
-        hash: u64,
-        verify: bool,
         mut on_match: impl FnMut(u32) -> bool,
     ) {
+        let mut at = self.heads[hash as usize & (self.heads.len() - 1)];
         while at != EMPTY {
             let b = at as usize;
             if self.row_hash[b] == hash
-                && (!verify
-                    || self
-                        .key_cols
-                        .iter()
-                        .zip(probe)
-                        .all(|(&kc, pv)| values_equal(pv, row, &self.data.columns[kc], b)))
+                && self
+                    .key_cols
+                    .iter()
+                    .zip(probe)
+                    .all(|(&kc, pv)| values_equal(pv, row, &self.data.columns[kc], b))
                 && !on_match(at)
             {
                 return;
