@@ -11,7 +11,7 @@ use crate::catalog::Catalog;
 use crate::query::{
     BoundAgg, BoundOrderKey, BoundRelation, JoinQuery, OutputItem, OutputKind, RExpr, ResidualPred,
 };
-use rpt_common::{Error, Result, ScalarValue};
+use rpt_common::{DataType, Error, Result, ScalarValue};
 use rpt_exec::{AggFunc, ArithOp, CmpOp};
 use rpt_sql::ast::{
     AggName, AstExpr, BinOp, ColumnRef, Literal, OrderByTarget, SelectItem, SelectStmt,
@@ -71,6 +71,7 @@ pub fn bind(stmt: &SelectStmt, catalog: &Catalog) -> Result<JoinQuery> {
                     }
                 }
             }
+            check_predicate(c, &resolver)?;
             let rexpr = lower(c, &resolver)?;
             let touched = rexpr.relations();
             match touched.len() {
@@ -385,6 +386,43 @@ fn literal_to_scalar(l: &Literal) -> ScalarValue {
         Literal::Str(s) => ScalarValue::Utf8(s.clone()),
         Literal::Bool(b) => ScalarValue::Bool(*b),
         Literal::Null => ScalarValue::Null,
+    }
+}
+
+/// Reject a WHERE predicate that cannot evaluate to a boolean: a
+/// non-`BOOL` column, a non-boolean literal, or an arithmetic expression,
+/// alone or under `AND` / `OR` / `NOT`. The executor's filters assume a
+/// boolean column and would otherwise fail inside a worker.
+fn check_predicate(e: &AstExpr, resolver: &ColumnResolver) -> Result<()> {
+    let not_boolean = |what: String| {
+        Err(Error::Bind(format!(
+            "WHERE predicate `{e}` is {what}, not a boolean"
+        )))
+    };
+    match e {
+        AstExpr::Binary {
+            op: BinOp::And | BinOp::Or,
+            left,
+            right,
+        } => {
+            check_predicate(left, resolver)?;
+            check_predicate(right, resolver)
+        }
+        AstExpr::Not(inner) => check_predicate(inner, resolver),
+        AstExpr::Column(c) => {
+            let (rel, col) = resolver.resolve(c)?;
+            match resolver.tables[rel].schema.field(col).data_type {
+                DataType::Bool => Ok(()),
+                ty => not_boolean(format!("of type {ty}")),
+            }
+        }
+        AstExpr::Literal(Literal::Bool(_)) => Ok(()),
+        AstExpr::Literal(_) => not_boolean("a non-boolean literal".into()),
+        AstExpr::Binary {
+            op: BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div,
+            ..
+        } => not_boolean("an arithmetic expression".into()),
+        _ => Ok(()),
     }
 }
 
@@ -751,6 +789,29 @@ mod tests {
             RExpr::And(parts) => assert_eq!(parts.len(), 2),
             other => panic!("expected AND, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn non_boolean_predicates_rejected() {
+        for (sql, named) in [
+            (
+                "SELECT COUNT(*) FROM orders WHERE id",
+                "`id` is of type INT64",
+            ),
+            (
+                "SELECT COUNT(*) FROM orders o WHERE o.total > 1 AND NOT o.id",
+                "`o.id` is of type INT64",
+            ),
+            ("SELECT COUNT(*) FROM orders WHERE id + 1", "`id + 1`"),
+            ("SELECT COUNT(*) FROM orders WHERE 1 OR id > 2", "`1`"),
+        ] {
+            match bind_sql(sql) {
+                Err(Error::Bind(msg)) => assert!(msg.contains(named), "{sql}: {msg}"),
+                Err(other) => panic!("{sql}: expected a bind error, got {other}"),
+                Ok(_) => panic!("{sql}: bound a non-boolean predicate"),
+            }
+        }
+        assert!(bind_sql("SELECT COUNT(*) FROM orders WHERE TRUE AND NOT (id > 2)").is_ok());
     }
 
     #[test]

@@ -19,6 +19,7 @@ use rpt_exec::{
 use rpt_graph::{
     largest_root, largest_root_randomized, small2large, JoinTree, SemiJoin, TransferSchedule,
 };
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The physical-plan IR: the compiled pipelines, plus — per pipeline —
@@ -376,44 +377,68 @@ impl<'q> Planner<'q> {
     /// Base stream for one relation: table scan → pushed filter →
     /// projection to the needed columns.
     ///
+    /// The scan decodes only the columns the pipeline reads: the needed
+    /// columns in order, then any column only the pushed-down filter
+    /// reads. The filter is bound to those scan output positions, and a
+    /// projection to the needed columns follows only when filter-only
+    /// columns were scanned.
+    ///
     /// Base scans are emitted as [`SourceSpec::Scan`] so the storage layer
     /// can prune whole blocks with zone maps before decoding: any
     /// `Int64 col CMP literal` and `Utf8 col CMP 'literal'` conjuncts of
-    /// the pushed-down filter are mirrored into the scan's prune spec
-    /// (the filter runs against the full base schema, so its column
-    /// indices *are* base-table columns),
-    /// and later transfer steps may add Bloom key ranges (see
-    /// [`Planner::transfer_step`]). Pruning is conservative — the filter
-    /// and probe operators still run on every surviving block.
+    /// the pushed-down filter are mirrored into the scan's prune spec in
+    /// base-table column indices, and later transfer steps may add Bloom
+    /// key ranges (see [`Planner::transfer_step`]). Pruning is
+    /// conservative — the filter and probe operators still run on every
+    /// surviving block.
     fn base_stream(&self, r: usize) -> Result<RelState> {
         let rel = &self.q.relations[r];
+        let mut columns = rel.needed_cols.clone();
         let mut ops = Vec::new();
-        let mut reduced = false;
         let mut prune = ScanPrune::default();
         if let Some(f) = &rel.filter {
-            // Filter runs against the full base schema.
-            let expr = f.to_exec(&|fr, fc| if fr == r { Some(fc) } else { None })?;
-            prune.predicates = prunable_conjuncts(&expr);
-            prune.utf8_predicates = prunable_utf8_conjuncts(&expr);
+            let mut read = BTreeSet::new();
+            f.columns(&mut read);
+            for (_, c) in read {
+                if !columns.contains(&c) {
+                    columns.push(c);
+                }
+            }
+            let expr = f.to_exec(&|fr, fc| {
+                if fr == r {
+                    columns.iter().position(|&c| c == fc)
+                } else {
+                    None
+                }
+            })?;
+            prune.predicates = prunable_conjuncts(&expr)
+                .into_iter()
+                .map(|(pos, op, lit)| (columns[pos], op, lit))
+                .collect();
+            prune.utf8_predicates = prunable_utf8_conjuncts(&expr)
+                .into_iter()
+                .map(|(pos, op, lit)| (columns[pos], op, lit))
+                .collect();
             ops.push(OpSpec::Filter(expr));
-            reduced = true;
         }
-        // Project to needed columns.
-        ops.push(OpSpec::Project(
-            rel.needed_cols.iter().map(|&c| Expr::Column(c)).collect(),
-        ));
+        if columns.len() > rel.needed_cols.len() {
+            ops.push(OpSpec::Project(
+                (0..rel.needed_cols.len()).map(Expr::Column).collect(),
+            ));
+        }
         let layout: Vec<(usize, usize)> = rel.needed_cols.iter().map(|&c| (r, c)).collect();
         Ok(RelState {
             stream: Stream {
                 source: SourceSpec::Scan {
                     table: rel.table.clone(),
+                    columns,
                     prune,
                 },
                 ops,
                 layout,
                 label: rel.binding.clone(),
             },
-            reduced,
+            reduced: rel.filter.is_some(),
         })
     }
 
@@ -1190,6 +1215,63 @@ mod tests {
                 plan.deps[1].reads
             );
         }
+    }
+
+    /// A base scan lists the needed columns, then the columns only the
+    /// pushed-down filter reads. The filter is bound to those scan
+    /// positions while the zone-map conjuncts stay in base-column indices,
+    /// and a projection follows only when filter-only columns were read.
+    #[test]
+    fn base_scan_reads_needed_then_filter_only_columns() {
+        use crate::engine::{Database, Mode, QueryOptions};
+        use rpt_common::{Field, ScalarValue, Vector};
+        use rpt_exec::CmpOp;
+        use rpt_storage::Table;
+
+        let mut db = Database::new();
+        let names = ["a", "b", "c", "d"];
+        db.register_table(
+            Table::new(
+                "t",
+                Schema::new(names.map(|n| Field::new(n, DataType::Int64)).to_vec()),
+                names.map(|_| Vector::from_i64((0..10).collect())).to_vec(),
+            )
+            .unwrap(),
+        );
+        let opts = QueryOptions::new(Mode::Baseline);
+        let base = |sql: &str| {
+            let q = db.bind_sql(sql).unwrap();
+            let stream = Planner::new(&q, &opts).base_stream(0).unwrap().stream;
+            let SourceSpec::Scan { columns, prune, .. } = stream.source else {
+                panic!("{sql}: base stream is not a table scan");
+            };
+            (columns, prune.predicates, stream.ops)
+        };
+        let d_gt_5 = |pos| {
+            Expr::cmp(
+                CmpOp::Gt,
+                Expr::Column(pos),
+                Expr::lit(ScalarValue::Int64(5)),
+            )
+        };
+
+        // `d` is filter-only: scanned after `b`, then projected away.
+        let (columns, zone, ops) = base("SELECT t.b FROM t WHERE t.d > 5");
+        assert_eq!(columns, vec![1, 3]);
+        assert_eq!(zone, vec![(3, CmpOp::Gt, 5)]);
+        assert!(matches!(&ops[..], [OpSpec::Filter(f), OpSpec::Project(p)]
+            if *f == d_gt_5(1) && *p == vec![Expr::Column(0)]));
+
+        // `d` is also selected: no filter-only column, no projection.
+        let (columns, zone, ops) = base("SELECT t.d, t.b FROM t WHERE t.d > 5");
+        assert_eq!(columns, vec![1, 3]);
+        assert_eq!(zone, vec![(3, CmpOp::Gt, 5)]);
+        assert!(matches!(&ops[..], [OpSpec::Filter(f)] if *f == d_gt_5(1)));
+
+        // No filter: the scan alone.
+        let (columns, zone, ops) = base("SELECT t.c FROM t");
+        assert_eq!(columns, vec![2]);
+        assert!(zone.is_empty() && ops.is_empty());
     }
 
     #[test]

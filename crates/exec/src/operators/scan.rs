@@ -41,6 +41,11 @@ impl ScanPrune {
 
 /// Scan an in-memory columnar table, chunked into default-size morsels.
 ///
+/// Only the scan's `columns` are produced, in list order: output column
+/// `i` is base column `columns[i]`, and no other column is decoded or
+/// sliced. [`ScanPrune`] specs stay in base-column indices, so pruning may
+/// consult zone maps of columns the scan does not output.
+///
 /// With `ctx.storage_encoding` on, chunks are decoded from the table's
 /// block-encoded form — one block per chunk — skipping (never decoding)
 /// blocks the [`ScanPrune`] spec rules out via zone maps, and serving
@@ -48,19 +53,24 @@ impl ScanPrune {
 /// off, the raw flat layout is sliced as before (parity path).
 pub struct TableScan {
     table: Arc<Table>,
+    columns: Vec<usize>,
     prune: ScanPrune,
 }
 
 impl TableScan {
+    /// Scan every column of `table`, with no pruning.
     pub fn new(table: Arc<Table>) -> TableScan {
-        TableScan {
-            table,
-            prune: ScanPrune::default(),
-        }
+        let columns = (0..table.num_columns()).collect();
+        TableScan::projected(table, columns, ScanPrune::default())
     }
 
-    pub fn with_prune(table: Arc<Table>, prune: ScanPrune) -> TableScan {
-        TableScan { table, prune }
+    /// Scan the listed base columns of `table`, pruning blocks by `prune`.
+    pub fn projected(table: Arc<Table>, columns: Vec<usize>, prune: ScanPrune) -> TableScan {
+        TableScan {
+            table,
+            columns,
+            prune,
+        }
     }
 
     /// Can any row of a block with zone map `zone` satisfy `col CMP lit`?
@@ -147,7 +157,7 @@ impl Source for TableScan {
         if !ctx.storage_encoding {
             let out: ChunkList = self
                 .table
-                .default_chunks()
+                .column_chunks(&self.columns)
                 .into_iter()
                 .map(Arc::new)
                 .collect();
@@ -170,7 +180,7 @@ impl Source for TableScan {
             if self.block_pruned(&enc, b, &bloom_ranges) {
                 pruned = pruned.saturating_add(1);
             } else {
-                out.push(Arc::new(enc.decode_block(b)));
+                out.push(Arc::new(enc.decode_block(b, &self.columns)));
             }
         }
         let m = &ctx.metrics;
@@ -235,5 +245,105 @@ impl Source for BufferScan {
         part: usize,
     ) -> Result<Arc<ChunkList>> {
         res.buffer_partition(self.buf_id, part)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rpt_bloom::BloomFilter;
+    use rpt_common::chunk::VECTOR_SIZE;
+    use rpt_common::{DataType, Field, ScalarValue, Schema, Vector};
+
+    /// Five blocks. `id` and `k` are clustered (row i holds i), `grp` is
+    /// dictionary-coded with one value per block, `f` is a float payload
+    /// and `n` is an `Int64` column with NULLs.
+    fn table() -> Arc<Table> {
+        let rows = 5 * VECTOR_SIZE;
+        let mut n = Vector::new_empty(DataType::Int64);
+        for i in 0..rows {
+            let v = if i % 7 == 0 {
+                ScalarValue::Null
+            } else {
+                ScalarValue::Int64(i as i64 % 100)
+            };
+            n.push(&v).unwrap();
+        }
+        let t = Table::new(
+            "t",
+            Schema::new(vec![
+                Field::new("id", DataType::Int64),
+                Field::new("grp", DataType::Utf8),
+                Field::new("k", DataType::Int64),
+                Field::new("f", DataType::Float64),
+                Field::new("n", DataType::Int64),
+            ]),
+            vec![
+                Vector::from_i64((0..rows as i64).collect()),
+                Vector::from_utf8((0..rows).map(|i| format!("g{}", i / VECTOR_SIZE)).collect()),
+                Vector::from_i64((0..rows as i64).collect()),
+                Vector::from_f64((0..rows).map(|i| i as f64 / 4.0).collect()),
+                n,
+            ],
+        )
+        .unwrap();
+        Arc::new(t)
+    }
+
+    /// Literal pruning drops block 4 (`id < 4·VS`), dictionary pruning
+    /// drops block 0 (`grp >= 'g1'`), and the Bloom key range on `k` drops
+    /// block 3 (`k` in `[0, 3·VS)`).
+    fn prune() -> ScanPrune {
+        let vs = VECTOR_SIZE as i64;
+        ScanPrune {
+            predicates: vec![(0, CmpOp::Lt, 4 * vs)],
+            utf8_predicates: vec![(1, CmpOp::GtEq, "g1".into())],
+            bloom: vec![(0, 0, 2)],
+        }
+    }
+
+    fn resources() -> Resources {
+        let res = Resources::new(0, 1, 0);
+        let mut filter = BloomFilter::with_default_fpr(16);
+        filter.observe_key_range(0, 3 * VECTOR_SIZE as i64 - 1);
+        res.publish_filter(0, filter).unwrap();
+        res
+    }
+
+    /// A projected scan's chunks are exactly the listed columns of the
+    /// full-width scan's chunks, in list order, on both storage layouts and
+    /// with literal, dictionary and Bloom-range pruning all active (prune
+    /// specs name columns the projection leaves out).
+    #[test]
+    fn projected_chunks_match_full_decode() {
+        let t = table();
+        let cols = vec![4, 2, 1];
+        let all: Vec<usize> = (0..t.num_columns()).collect();
+        for encoded in [true, false] {
+            let ctx = ExecContext::new().with_storage_encoding(encoded);
+            let res = resources();
+            let full = TableScan::projected(t.clone(), all.clone(), prune())
+                .chunks(&ctx, &res)
+                .unwrap();
+            let proj = TableScan::projected(t.clone(), cols.clone(), prune())
+                .chunks(&ctx, &res)
+                .unwrap();
+            // Encoded: blocks 1 and 2 survive; raw: no pruning.
+            assert_eq!(full.len(), if encoded { 2 } else { 5 }, "encoded={encoded}");
+            assert_eq!(proj.len(), full.len(), "encoded={encoded}");
+            for (p, f) in proj.iter().zip(full.iter()) {
+                assert_eq!(p.columns.len(), cols.len());
+                for (j, &c) in cols.iter().enumerate() {
+                    assert_eq!(p.columns[j], f.columns[c], "encoded={encoded} col {c}");
+                }
+            }
+            if encoded {
+                assert!(proj[0].columns[2].is_dict(), "dictionary column flattened");
+                assert_eq!(
+                    proj[0].columns[1].get(0),
+                    ScalarValue::Int64(VECTOR_SIZE as i64)
+                );
+            }
+        }
     }
 }

@@ -35,13 +35,18 @@ pub use crate::operators::create_bf::BloomSink;
 /// Where a pipeline reads its chunks from.
 #[derive(Clone)]
 pub enum SourceSpec {
-    /// Scan an in-memory table.
+    /// Scan every column of an in-memory table.
     Table(Arc<Table>),
-    /// Scan an in-memory table with planner-recorded block-pruning
-    /// opportunities: zone-map-checkable literal conjuncts of the pushed
-    /// filter plus transferred Bloom filters whose key range can rule out
-    /// whole blocks ([`ScanPrune`]).
-    Scan { table: Arc<Table>, prune: ScanPrune },
+    /// Scan the listed base columns of an in-memory table (output column
+    /// `i` is base column `columns[i]`), with planner-recorded
+    /// block-pruning opportunities: zone-map-checkable literal conjuncts of
+    /// the pushed filter plus transferred Bloom filters whose key range can
+    /// rule out whole blocks ([`ScanPrune`], in base-column indices).
+    Scan {
+        table: Arc<Table>,
+        columns: Vec<usize>,
+        prune: ScanPrune,
+    },
     /// Read the materialized output of an earlier pipeline (e.g. a
     /// `CreateBF` buffer acting as a source).
     Buffer(usize),
@@ -52,9 +57,15 @@ impl SourceSpec {
     pub fn lower(&self) -> Box<dyn Source> {
         match self {
             SourceSpec::Table(t) => Box::new(TableScan::new(t.clone())),
-            SourceSpec::Scan { table, prune } => {
-                Box::new(TableScan::with_prune(table.clone(), prune.clone()))
-            }
+            SourceSpec::Scan {
+                table,
+                columns,
+                prune,
+            } => Box::new(TableScan::projected(
+                table.clone(),
+                columns.clone(),
+                prune.clone(),
+            )),
             SourceSpec::Buffer(id) => Box::new(BufferScan::new(*id)),
         }
     }

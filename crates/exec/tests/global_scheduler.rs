@@ -616,3 +616,30 @@ fn partitioned_sink_merges_on_pool_workers() {
         assert_eq!(s.merge_tasks, 4, "threads={threads}");
     }
 }
+
+/// A task panic in a source pipeline is contained as an `Error` that keeps
+/// the panic message: a `Filter` over an `Int64` column (which the binder
+/// rejects, so only a hand-built plan reaches it) fails the run with the
+/// vector's `expected Bool column` message, on every worker count.
+#[test]
+fn filter_on_int_column_panic_keeps_message() {
+    for workers in [1usize, 2] {
+        let t = table("t", (0..100).collect(), (0..100).collect());
+        let plan = collect_pipeline(
+            SourceSpec::Scan {
+                table: t,
+                columns: vec![1],
+                prune: Default::default(),
+            },
+            vec![OpSpec::Filter(rpt_exec::Expr::col(0))],
+            0,
+        );
+        let mut exec = Executor::new(ExecContext::new().with_workers(workers), 1, 0, 0);
+        let err = exec.run_dag(&[plan]).unwrap_err();
+        assert!(matches!(err, Error::Exec(_)), "got {err}");
+        assert!(
+            err.to_string().contains("expected Bool column"),
+            "workers={workers}: {err}"
+        );
+    }
+}

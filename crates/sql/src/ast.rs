@@ -102,6 +102,85 @@ pub enum AstExpr {
     },
 }
 
+impl std::fmt::Display for Literal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Literal::Int(v) => write!(f, "{v}"),
+            Literal::Float(v) => write!(f, "{v}"),
+            Literal::Str(s) => write!(f, "'{s}'"),
+            Literal::Bool(b) => f.write_str(if *b { "TRUE" } else { "FALSE" }),
+            Literal::Null => f.write_str("NULL"),
+        }
+    }
+}
+
+impl std::fmt::Display for BinOp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            BinOp::Eq => "=",
+            BinOp::NotEq => "<>",
+            BinOp::Lt => "<",
+            BinOp::LtEq => "<=",
+            BinOp::Gt => ">",
+            BinOp::GtEq => ">=",
+            BinOp::And => "AND",
+            BinOp::Or => "OR",
+            BinOp::Add => "+",
+            BinOp::Sub => "-",
+            BinOp::Mul => "*",
+            BinOp::Div => "/",
+        })
+    }
+}
+
+/// SQL text of an expression, for error messages. Binary operands that
+/// are themselves binary are parenthesized.
+impl std::fmt::Display for AstExpr {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let not = |negated: &bool| if *negated { "NOT " } else { "" };
+        match self {
+            AstExpr::Column(c) => write!(f, "{c}"),
+            AstExpr::Literal(l) => write!(f, "{l}"),
+            AstExpr::Binary { op, left, right } => {
+                for (i, side) in [left, right].into_iter().enumerate() {
+                    if i == 1 {
+                        write!(f, " {op} ")?;
+                    }
+                    match **side {
+                        AstExpr::Binary { .. } => write!(f, "({side})")?,
+                        _ => write!(f, "{side}")?,
+                    }
+                }
+                Ok(())
+            }
+            AstExpr::Not(inner) => write!(f, "NOT ({inner})"),
+            AstExpr::IsNull { expr, negated } => write!(f, "{expr} IS {}NULL", not(negated)),
+            AstExpr::InList {
+                expr,
+                list,
+                negated,
+            } => {
+                let items: Vec<String> = list.iter().map(Literal::to_string).collect();
+                write!(f, "{expr} {}IN ({})", not(negated), items.join(", "))
+            }
+            AstExpr::Like {
+                expr,
+                pattern,
+                negated,
+            } => write!(f, "{expr} {}LIKE '{pattern}'", not(negated)),
+            AstExpr::Between { expr, low, high } => write!(f, "{expr} BETWEEN {low} AND {high}"),
+            AstExpr::Agg { func, arg, star } => {
+                let name = format!("{func:?}").to_uppercase();
+                match arg {
+                    _ if *star => write!(f, "{name}(*)"),
+                    Some(a) => write!(f, "{name}({a})"),
+                    None => write!(f, "{name}()"),
+                }
+            }
+        }
+    }
+}
+
 /// One item of the SELECT list.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SelectItem {
@@ -188,6 +267,21 @@ mod tests {
     fn column_display() {
         assert_eq!(ColumnRef::new(Some("t"), "id").to_string(), "t.id");
         assert_eq!(ColumnRef::new(None, "id").to_string(), "id");
+    }
+
+    #[test]
+    fn expr_display_reparses() {
+        use crate::parse_select;
+        for w in [
+            "o.k + 1 * 2 > 3 AND NOT (o.s LIKE 'a%')",
+            "(a = 1 OR b IS NOT NULL) AND c NOT IN (1, 'x', NULL)",
+            "x BETWEEN 1 AND 2.5",
+        ] {
+            let stmt = parse_select(&format!("SELECT COUNT(*) FROM t WHERE {w}")).unwrap();
+            let e = stmt.where_clause.unwrap();
+            let again = parse_select(&format!("SELECT COUNT(*) FROM t WHERE {e}")).unwrap();
+            assert_eq!(again.where_clause.unwrap(), e, "{e}");
+        }
     }
 
     #[test]

@@ -162,9 +162,15 @@ impl BlockTable {
         &self.columns[col].blocks[b].zone
     }
 
-    /// Decode row-block `b` of every column into one scan chunk.
-    pub fn decode_block(&self, b: usize) -> DataChunk {
-        DataChunk::new(self.columns.iter().map(|c| c.decode_block(b)).collect())
+    /// Decode row-block `b` of the listed columns into one scan chunk, in
+    /// list order: chunk column `i` is column `cols[i]`. Unlisted columns
+    /// are never decoded.
+    pub fn decode_block(&self, b: usize, cols: &[usize]) -> DataChunk {
+        DataChunk::new(
+            cols.iter()
+                .map(|&c| self.columns[c].decode_block(b))
+                .collect(),
+        )
     }
 
     /// Total encoded payload size in bytes (bench/trace reporting).
@@ -228,18 +234,22 @@ mod tests {
         assert!(bt.zone(4, 0).null_count > 0);
     }
 
+    /// A column subset decodes in list order (here reordered, with the
+    /// dictionary and nullable columns included) to the source rows.
     #[test]
     fn decode_matches_source_rows() {
         let t = fixture();
         let bt = BlockTable::build(&t, 32);
+        let cols = [4, 1, 0];
         let mut row = 0usize;
         for b in 0..bt.num_blocks() {
-            let chunk = bt.decode_block(b);
+            let chunk = bt.decode_block(b, &cols);
+            assert_eq!(chunk.columns.len(), cols.len());
             assert!(chunk.columns[1].is_dict());
             for i in 0..chunk.num_rows() {
-                for c in 0..t.num_columns() {
+                for (j, &c) in cols.iter().enumerate() {
                     assert_eq!(
-                        chunk.columns[c].get(i),
+                        chunk.columns[j].get(i),
                         t.column(c).get(row),
                         "col {c} row {row}"
                     );

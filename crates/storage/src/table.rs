@@ -113,9 +113,18 @@ impl Table {
             .collect()
     }
 
-    /// Default-sized chunks.
-    pub fn default_chunks(&self) -> Vec<DataChunk> {
-        self.chunks(VECTOR_SIZE)
+    /// Default-sized chunks of the listed columns only, in list order:
+    /// chunk column `i` is column `cols[i]`.
+    pub fn column_chunks(&self, cols: &[usize]) -> Vec<DataChunk> {
+        chunk_ranges(self.num_rows, VECTOR_SIZE)
+            .map(|(start, len)| {
+                DataChunk::new(
+                    cols.iter()
+                        .map(|&c| self.columns[c].slice(start, len))
+                        .collect(),
+                )
+            })
+            .collect()
     }
 
     /// The whole table as one chunk.

@@ -36,8 +36,9 @@ fn check_roundtrip(table: &Table, block_rows: usize) {
     assert_eq!(enc.num_rows(), table.num_rows());
     assert_eq!(enc.num_blocks(), table.num_rows().div_ceil(block_rows));
 
+    let all: Vec<usize> = (0..table.num_columns()).collect();
     for b in 0..enc.num_blocks() {
-        let chunk = enc.decode_block(b);
+        let chunk = enc.decode_block(b, &all);
         let base = b * block_rows;
         for (col, vec) in chunk.columns.iter().enumerate() {
             let src = &table.columns[col];

@@ -220,11 +220,11 @@ fn baseline_has_no_bloom_work_and_pt_variants_do() {
     assert_eq!(yan.metrics.bloom_build_rows, 0);
 }
 
-/// A panic inside a pool task (here: a non-boolean WHERE predicate, which
-/// the binder does not type-check yet) is contained as an `Error` that
-/// keeps the panic message, instead of unwinding through the caller.
+/// A non-boolean WHERE predicate is rejected at bind time with an error
+/// naming it, before any worker runs. (The executor's panic-to-`Error`
+/// path stays covered by the scheduler's exec-level tests.)
 #[test]
-fn worker_panic_surfaces_as_error_with_message() {
+fn non_boolean_where_is_a_bind_error() {
     let w = tpch(0.01, 1);
     let db = database_for(&w);
     let err = db
@@ -233,6 +233,7 @@ fn worker_panic_surfaces_as_error_with_message() {
             &QueryOptions::new(Mode::RobustPredicateTransfer),
         )
         .expect_err("a non-boolean predicate must fail the query");
+    assert!(matches!(err, rpt_common::Error::Bind(_)), "got {err}");
     let msg = err.to_string();
-    assert!(msg.contains("expected Bool column"), "message lost: {msg}");
+    assert!(msg.contains("`o_orderkey`"), "predicate not named: {msg}");
 }
