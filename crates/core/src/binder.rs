@@ -147,7 +147,12 @@ pub fn bind(stmt: &SelectStmt, catalog: &Catalog) -> Result<JoinQuery> {
                 AstExpr::Agg { func, arg, star } => {
                     let alias = alias.clone().unwrap_or_else(|| format!("agg_{i}"));
                     let bound_arg = match (arg, star) {
-                        (Some(a), _) => Some(lower(a, &resolver)?),
+                        (Some(a), _) => {
+                            if matches!(func, AggName::Sum | AggName::Avg) {
+                                check_numeric(a, expr, &resolver)?;
+                            }
+                            Some(lower(a, &resolver)?)
+                        }
                         (None, true) => None,
                         (None, false) => {
                             return Err(Error::Bind("aggregate missing argument".into()))
@@ -426,6 +431,35 @@ fn check_predicate(e: &AstExpr, resolver: &ColumnResolver) -> Result<()> {
     }
 }
 
+/// Reject an arithmetic operand, or a SUM / AVG argument, that is not a
+/// number: a `UTF8` or `BOOL` column, a string or boolean literal, or a
+/// boolean expression. The executor would otherwise read dictionary codes
+/// or booleans as numbers and return a wrong answer without an error.
+fn check_numeric(operand: &AstExpr, whole: &AstExpr, resolver: &ColumnResolver) -> Result<()> {
+    let what = match operand {
+        AstExpr::Column(c) => {
+            let (rel, col) = resolver.resolve(c)?;
+            match resolver.tables[rel].schema.field(col).data_type {
+                DataType::Int64 | DataType::Float64 => return Ok(()),
+                ty => format!("of type {ty}"),
+            }
+        }
+        AstExpr::Literal(Literal::Int(_) | Literal::Float(_) | Literal::Null) => return Ok(()),
+        AstExpr::Literal(_) => "a non-numeric literal".into(),
+        // Nested arithmetic has its own operands checked when it is
+        // lowered, and lowering rejects a nested aggregate.
+        AstExpr::Binary {
+            op: BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div,
+            ..
+        }
+        | AstExpr::Agg { .. } => return Ok(()),
+        _ => "a boolean expression".into(),
+    };
+    Err(Error::Bind(format!(
+        "`{whole}` needs a number, but `{operand}` is {what}"
+    )))
+}
+
 /// Lower an AST expression (no aggregates) into a resolved [`RExpr`].
 fn lower(e: &AstExpr, resolver: &ColumnResolver) -> Result<RExpr> {
     Ok(match e {
@@ -435,6 +469,10 @@ fn lower(e: &AstExpr, resolver: &ColumnResolver) -> Result<RExpr> {
         }
         AstExpr::Literal(l) => RExpr::Lit(literal_to_scalar(l)),
         AstExpr::Binary { op, left, right } => {
+            if matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div) {
+                check_numeric(left, e, resolver)?;
+                check_numeric(right, e, resolver)?;
+            }
             let l = lower(left, resolver)?;
             let r = lower(right, resolver)?;
             match op {
@@ -804,6 +842,28 @@ mod tests {
             ),
             ("SELECT COUNT(*) FROM orders WHERE id + 1", "`id + 1`"),
             ("SELECT COUNT(*) FROM orders WHERE 1 OR id > 2", "`1`"),
+            // Arithmetic operands and SUM / AVG arguments must be numbers.
+            (
+                "SELECT SUM(status + 1) FROM orders",
+                "`status + 1` needs a number, but `status` is of type UTF8",
+            ),
+            (
+                "SELECT COUNT(*) FROM orders WHERE id + status > 1",
+                "`id + status` needs a number",
+            ),
+            (
+                "SELECT SUM(status) FROM orders",
+                "`SUM(status)` needs a number, but `status` is of type UTF8",
+            ),
+            ("SELECT AVG(status) FROM orders", "`AVG(status)`"),
+            (
+                "SELECT id * 'x' FROM orders",
+                "`'x'` is a non-numeric literal",
+            ),
+            (
+                "SELECT SUM(id > 1) FROM orders",
+                "`id > 1` is a boolean expression",
+            ),
         ] {
             match bind_sql(sql) {
                 Err(Error::Bind(msg)) => assert!(msg.contains(named), "{sql}: {msg}"),
@@ -812,6 +872,9 @@ mod tests {
             }
         }
         assert!(bind_sql("SELECT COUNT(*) FROM orders WHERE TRUE AND NOT (id > 2)").is_ok());
+        assert!(
+            bind_sql("SELECT SUM(id * total + 1), MIN(status), MAX(status) FROM orders").is_ok()
+        );
     }
 
     #[test]

@@ -35,7 +35,7 @@
 use crate::context::ExecContext;
 use crate::operators::{PartitionMerger, ResourceId, Resources, Sink};
 use crate::pipeline::{
-    combine_finalize, push_through, record_pipeline_rows, PhysicalPipeline, PipelinePlan, RouteMode,
+    combine_finalize, push_through, record_pipeline_rows, PhysicalPipeline, PipelinePlan,
 };
 use crate::scheduler::{build_dag, check_acyclic, NodeDeps, SchedulerStats};
 use rpt_common::{Error, Result};
@@ -490,16 +490,6 @@ impl Engine<'_> {
                         None => p.sink.make(self.ctx)?,
                     }
                 };
-                // A Preserve-route pipeline's source is partitioned and
-                // its partitioning already matches the sink's, so this
-                // group's rows feed partition `group` directly — no
-                // hash + scatter.
-                let preserve = p.route == RouteMode::Preserve;
-                if preserve && p.source.partitioned_input().is_none() {
-                    return Err(Error::Exec(
-                        "Preserve route requires a partitioned source".into(),
-                    ));
-                }
                 loop {
                     let i = run.next.fetch_add(1, Ordering::Relaxed);
                     if i >= run.chunks.len() {
@@ -509,11 +499,7 @@ impl Engine<'_> {
                     if let Some(out) =
                         push_through(&p.ops, run.chunks[i].as_ref().clone(), self.ctx, self.res)?
                     {
-                        if preserve {
-                            state.sink_part(out, group, self.ctx)?;
-                        } else {
-                            state.sink(out, self.ctx)?;
-                        }
+                        state.sink(out, self.ctx)?;
                     }
                 }
                 self.runtimes[pipe]

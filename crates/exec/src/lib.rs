@@ -36,8 +36,8 @@ pub mod wcoj;
 pub use aggregate::{AggState, AggUpdateStats, AggregateState, ChunkKeys, KeyLayout};
 pub use context::{
     agg_fast_from_env, default_worker_count, memory_budget_from_env, plan_verify_from_env,
-    repartition_elide_from_env, spill_encoding_from_env, spill_prefetch_from_env,
-    storage_encoding_from_env, utilization_pct, ExecContext, Metrics, MetricsSummary, VerifyMode,
+    spill_encoding_from_env, spill_prefetch_from_env, storage_encoding_from_env, utilization_pct,
+    ExecContext, Metrics, MetricsSummary, VerifyMode,
 };
 pub use expr::{
     prunable_conjuncts, prunable_utf8_conjuncts, AggExpr, AggFunc, ArithOp, CmpOp, Expr,
@@ -50,7 +50,7 @@ pub use operators::{
     Source,
 };
 pub use pipeline::{
-    BloomSink, Executor, OpSpec, PhysicalPipeline, PipelinePlan, RouteMode, SinkSpec, SourceSpec,
+    BloomSink, Executor, OpSpec, PhysicalPipeline, PipelinePlan, SinkSpec, SourceSpec,
 };
 pub use scheduler::{NodeDeps, SchedulerStats};
 pub use wcoj::{generic_join, WcojRelation};

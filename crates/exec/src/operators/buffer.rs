@@ -14,8 +14,8 @@ use super::create_bf::{
     combine_blooms, insert_into_blooms, merge_publish_blooms, BloomBuild, BloomSink,
 };
 use super::{
-    check_partition_route, downcast_sink, lock_or_err, record_spill_stats, PartitionMerger,
-    PartitionSlots, ResourceId, Resources, Sink, SinkFactory,
+    downcast_sink, lock_or_err, record_spill_stats, PartitionMerger, PartitionSlots, ResourceId,
+    Resources, Sink, SinkFactory,
 };
 use crate::context::{ExecContext, Metrics};
 use rpt_common::{DataChunk, Error, Partitioner, Result, Schema};
@@ -29,13 +29,12 @@ pub struct BufferSink {
     /// One spill buffer per partition (a single entry when unpartitioned).
     parts: Vec<SpillBuffer>,
     partitioner: Partitioner,
-    /// Key columns the rows are radix-routed on; `None` (no key available)
-    /// falls back to chunk-granular round-robin routing.
-    partition_keys: Option<Vec<usize>>,
     next_round_robin: usize,
     /// Has the keyless path already split its first chunk across
     /// partitions?
     keyless_seeded: bool,
+    /// Filters built from the rows; the first one's key columns are also
+    /// the radix-routing key (none: chunk-granular round-robin routing).
     blooms: Vec<BloomBuild>,
     rows: u64,
     /// Metrics sink for spill accounting on the ctx-less `finalize` path.
@@ -56,9 +55,9 @@ impl Sink for BufferSink {
         if self.partitioner.is_single() {
             return self.parts[0].push(chunk);
         }
-        match &self.partition_keys {
-            Some(keys) => {
-                let hashes = super::key_hashes(&chunk, keys);
+        match self.blooms.first() {
+            Some(bloom) => {
+                let hashes = super::key_hashes(&chunk, bloom.key_cols());
                 for (p, sub) in self
                     .partitioner
                     .split_chunk(&chunk, &hashes)
@@ -103,19 +102,6 @@ impl Sink for BufferSink {
                 Ok(())
             }
         }
-    }
-
-    fn sink_part(&mut self, chunk: DataChunk, part: usize, ctx: &ExecContext) -> Result<()> {
-        if self.partitioner.is_single() {
-            return self.sink(chunk, ctx);
-        }
-        if let Some(keys) = &self.partition_keys {
-            check_partition_route(&chunk, keys, &self.partitioner, part, ctx)?;
-        }
-        self.rows = self.rows.saturating_add(chunk.num_rows() as u64);
-        insert_into_blooms(&chunk, &mut self.blooms, ctx);
-        ctx.metrics.add(&ctx.metrics.repartition_elided_chunks, 1);
-        self.parts[part].push(chunk)
     }
 
     fn combine(&mut self, other: Box<dyn Sink>) -> Result<()> {
@@ -203,7 +189,6 @@ impl SinkFactory for BufferSinkFactory {
             buf_id: self.buf_id,
             parts,
             partitioner,
-            partition_keys: self.blooms.first().map(|b| b.key_cols.clone()),
             next_round_robin: 0,
             keyless_seeded: false,
             blooms: BloomBuild::from_specs(&self.blooms),

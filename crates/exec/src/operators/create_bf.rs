@@ -45,6 +45,11 @@ impl BloomBuild {
         self.spec.filter_id
     }
 
+    /// Key columns this filter is built on.
+    pub fn key_cols(&self) -> &[usize] {
+        &self.spec.key_cols
+    }
+
     /// Merge another worker's partial filter (same request).
     pub fn merge(&mut self, other: &BloomBuild) -> Result<()> {
         self.filter.merge(&other.filter).map_err(Error::Exec)

@@ -12,8 +12,8 @@ use super::create_bf::{
     combine_blooms, insert_into_blooms, merge_publish_blooms, BloomBuild, BloomSink,
 };
 use super::{
-    check_partition_route, downcast_sink, lock_or_err, PartitionMerger, PartitionSlots, ResourceId,
-    Resources, Sink, SinkFactory,
+    downcast_sink, lock_or_err, PartitionMerger, PartitionSlots, ResourceId, Resources, Sink,
+    SinkFactory,
 };
 use crate::context::ExecContext;
 use crate::hash_table::{JoinHashTable, PartitionedHashTable};
@@ -84,22 +84,6 @@ impl Sink for HashBuildSink {
                 }
             }
         }
-        self.rows = self.rows.saturating_add(n);
-        Ok(())
-    }
-
-    fn sink_part(&mut self, mut chunk: DataChunk, part: usize, ctx: &ExecContext) -> Result<()> {
-        if self.partitioner.is_single() {
-            return self.sink(chunk, ctx);
-        }
-        check_partition_route(&chunk, &self.key_cols, &self.partitioner, part, ctx)?;
-        let n = chunk.num_rows() as u64;
-        insert_into_blooms(&chunk, &mut self.blooms, ctx);
-        ctx.metrics.add(&ctx.metrics.hash_build_rows, n);
-        self.report_residency(chunk_size_bytes(&chunk));
-        ctx.metrics.add(&ctx.metrics.repartition_elided_chunks, 1);
-        chunk.flatten();
-        self.parts[part].push(chunk);
         self.rows = self.rows.saturating_add(n);
         Ok(())
     }

@@ -43,7 +43,7 @@ pub use sort::{cmp_scalar_rows, SortKey, SortSink, SortSinkFactory};
 use crate::context::ExecContext;
 use crate::hash_table::PartitionedHashTable;
 use rpt_bloom::BloomFilter;
-use rpt_common::{DataChunk, Error, Partitioner, Result, Vector};
+use rpt_common::{DataChunk, Error, Result, Vector};
 use std::any::Any;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -411,17 +411,6 @@ pub trait Sink: Send + Any {
     /// Consume one chunk on a worker thread.
     fn sink(&mut self, chunk: DataChunk, ctx: &ExecContext) -> Result<()>;
 
-    /// Consume one chunk already known to belong wholly to hash partition
-    /// `part` (the `Preserve` route: the producer's distribution matches
-    /// this sink's, so the driver hands over whole partition-`p` chunks and
-    /// the sink may skip its `key_hashes` + scatter step). The default
-    /// falls back to the radix [`Sink::sink`] path, which is always
-    /// correct; partitioned sinks override it to route directly.
-    fn sink_part(&mut self, chunk: DataChunk, part: usize, ctx: &ExecContext) -> Result<()> {
-        let _ = part;
-        self.sink(chunk, ctx)
-    }
-
     /// Merge another worker's state (same concrete type) into this one.
     fn combine(&mut self, other: Box<dyn Sink>) -> Result<()>;
 
@@ -601,45 +590,6 @@ pub(crate) fn lock_or_err<'a, T>(
 ) -> Result<std::sync::MutexGuard<'a, T>> {
     m.lock()
         .map_err(|_| Error::Exec(format!("{what} lock poisoned")))
-}
-
-/// Verifier-mode check that every row of a Preserve-routed chunk really
-/// hashes into partition `part` — the runtime half of the repartition
-/// elision proof. No-op when verification is off; in `Warn` mode a
-/// violation is reported (stderr + pipeline trace) and execution
-/// continues; in `Strict` mode it fails the query.
-pub(crate) fn check_partition_hashes(
-    hashes: &[u64],
-    partitioner: &Partitioner,
-    part: usize,
-    ctx: &ExecContext,
-) -> Result<()> {
-    ctx.metrics.add(&ctx.metrics.verify_checks_run, 1);
-    if hashes.iter().all(|&h| partitioner.of_hash(h) == part) {
-        return Ok(());
-    }
-    let msg = format!("Preserve-routed chunk has rows outside partition {part}");
-    if ctx.verify.strict() {
-        return Err(Error::Exec(msg));
-    }
-    eprintln!("[rpt-verify] {msg}");
-    ctx.metrics.trace_entry(format!("[verify] {msg}"), 1);
-    Ok(())
-}
-
-/// [`check_partition_hashes`] from key columns, skipping the hash
-/// computation entirely when verification is off.
-pub(crate) fn check_partition_route(
-    chunk: &DataChunk,
-    key_cols: &[usize],
-    partitioner: &Partitioner,
-    part: usize,
-    ctx: &ExecContext,
-) -> Result<()> {
-    if !ctx.verify.enabled() {
-        return Ok(());
-    }
-    check_partition_hashes(&key_hashes(chunk, key_cols), partitioner, part, ctx)
 }
 
 /// Downcast `other` to `S` for a `combine`, with a uniform error.

@@ -213,24 +213,6 @@ impl SinkSpec {
     }
 }
 
-/// How a pipeline's sink routes incoming rows onto its hash partitions.
-///
-/// `Radix` is the general case: the sink hashes its key columns and
-/// radix-scatters every chunk across `partition_count` runs. `Preserve` is
-/// the *repartition elision* fast path the planner selects when the source
-/// buffer is already distributed on the sink's key layout: the driver reads
-/// the source partition-by-partition and hands whole partition-`p` chunks
-/// to [`crate::operators::Sink::sink_part`], skipping the hash + scatter
-/// entirely (counted in `Metrics::repartition_elided_chunks`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RouteMode {
-    /// Hash the sink keys and radix-scatter rows (always correct).
-    #[default]
-    Radix,
-    /// Feed whole partition-`p` chunks straight into partition-`p` state.
-    Preserve,
-}
-
 /// One pipeline: source → ops → sink.
 #[derive(Clone)]
 pub struct PipelinePlan {
@@ -244,9 +226,6 @@ pub struct PipelinePlan {
     pub intermediate: bool,
     /// Schema of chunks entering the sink (needed for buffer spill files).
     pub sink_schema: Schema,
-    /// Sink routing mode; `Preserve` only when the planner proved the
-    /// source distribution matches the sink's required distribution.
-    pub route: RouteMode,
 }
 
 impl PipelinePlan {
@@ -258,7 +237,6 @@ impl PipelinePlan {
             ops: self.ops.iter().map(OpSpec::lower).collect(),
             sink: self.sink.lower(&self.sink_schema),
             intermediate: self.intermediate,
-            route: self.route,
         }
     }
 
@@ -281,7 +259,6 @@ pub struct PhysicalPipeline {
     pub ops: Vec<Box<dyn Operator>>,
     pub sink: Box<dyn SinkFactory>,
     pub intermediate: bool,
-    pub route: RouteMode,
 }
 
 impl PhysicalPipeline {
@@ -470,7 +447,6 @@ mod tests {
                 blooms: vec![],
             },
             intermediate: false,
-            route: RouteMode::Radix,
             sink_schema: schema,
         }
     }
@@ -517,7 +493,6 @@ mod tests {
                 blooms: vec![],
             },
             intermediate: true,
-            route: RouteMode::Radix,
             sink_schema: two_col_schema(),
         };
         let p2 = collect_pipeline(
@@ -575,7 +550,6 @@ mod tests {
                 }],
             },
             intermediate: true,
-            route: RouteMode::Radix,
             sink_schema: two_col_schema(),
         };
         // Pipeline 2: scan big, ProbeBF, collect.
@@ -623,7 +597,6 @@ mod tests {
                 key_dicts: vec![],
             },
             intermediate: false,
-            route: RouteMode::Radix,
             sink_schema: two_col_schema(),
         };
         exec.run_dag(&[p]).unwrap();
@@ -681,7 +654,6 @@ mod tests {
                     key_dicts: vec![],
                 },
                 intermediate: false,
-                route: RouteMode::Radix,
                 sink_schema: two_col_schema(),
             };
             exec.run_dag(&[p]).unwrap();
@@ -760,7 +732,6 @@ mod tests {
                     key_dicts: vec![],
                 },
                 intermediate: false,
-                route: RouteMode::Radix,
                 sink_schema: two_col_schema(),
             };
             exec.run_dag(&[p]).unwrap();
@@ -792,7 +763,6 @@ mod tests {
                     blooms: vec![],
                 },
                 intermediate: true,
-                route: RouteMode::Radix,
                 sink_schema: two_col_schema(),
             };
             let p2 = collect_pipeline(
@@ -852,7 +822,6 @@ mod tests {
                 blooms: vec![],
             },
             intermediate: true,
-            route: RouteMode::Radix,
             sink_schema: two_col_schema(),
         };
         let p2 = collect_pipeline(
@@ -888,7 +857,6 @@ mod tests {
                 blooms: vec![],
             },
             intermediate: true,
-            route: RouteMode::Radix,
             sink_schema: two_col_schema(),
         };
         let p2 = collect_pipeline(

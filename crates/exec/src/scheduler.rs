@@ -180,7 +180,7 @@ mod tests {
     fn node_error_propagates() {
         use crate::context::ExecContext;
         use crate::expr::Expr;
-        use crate::pipeline::{Executor, OpSpec, PipelinePlan, RouteMode, SinkSpec, SourceSpec};
+        use crate::pipeline::{Executor, OpSpec, PipelinePlan, SinkSpec, SourceSpec};
         use rpt_common::{DataType, Field, Schema, Vector};
         use std::sync::Arc;
 
@@ -200,7 +200,6 @@ mod tests {
                 blooms: vec![],
             },
             intermediate: true,
-            route: RouteMode::Radix,
             sink_schema: schema.clone(),
         };
         let plan = [

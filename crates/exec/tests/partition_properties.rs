@@ -1,15 +1,22 @@
 //! Property tests for the hash-partitioned sinks: random chunk streams ×
 //! random partition counts × random worker counts must produce exactly the
 //! unpartitioned baseline's contents (as multisets), route every row to the
-//! partition its key hashes to, and build bit-identical Bloom filters.
+//! partition its key hashes to, and build bit-identical Bloom filters. A
+//! keyed multi-pipeline DAG run on one worker is bit-deterministic at
+//! every partition count.
 
 use proptest::prelude::*;
 use rpt_common::hash::hash_i64;
-use rpt_common::{DataChunk, DataType, Field, Partitioner, Schema, Vector};
+use rpt_common::{DataChunk, DataType, Field, Partitioner, ScalarValue, Schema, Vector};
 use rpt_exec::operators::buffer::BufferSinkFactory;
 use rpt_exec::operators::hash_build::HashBuildFactory;
 use rpt_exec::operators::AggregateFactory;
-use rpt_exec::{AggExpr, AggFunc, BloomSink, ExecContext, Expr, Resources, SinkFactory};
+use rpt_exec::{
+    AggExpr, AggFunc, BloomSink, ExecContext, Executor, Expr, PipelinePlan, Resources, SinkFactory,
+    SinkSpec, SourceSpec,
+};
+use rpt_storage::Table;
+use std::sync::Arc;
 
 fn schema() -> Schema {
     Schema::new(vec![
@@ -81,8 +88,104 @@ fn bloom_spec() -> BloomSink {
     }
 }
 
+/// The keyed CreateBF → GROUP BY → CreateBF DAG: a buffer radix-routed
+/// on the key column, a grouped aggregate over it, and a keyed buffer over
+/// the aggregate's `[key, count, sum]` output.
+fn keyed_dag(keys: &[i64]) -> Vec<PipelinePlan> {
+    let t = Table::new(
+        "t",
+        schema(),
+        vec![
+            Vector::from_i64(keys.to_vec()),
+            Vector::from_i64((0..keys.len() as i64).collect()),
+        ],
+    )
+    .unwrap();
+    let agg_schema = Schema::new(vec![
+        Field::new("k", DataType::Int64),
+        Field::new("c", DataType::Int64),
+        Field::new("s", DataType::Int64),
+    ]);
+    let bloom = |filter_id| BloomSink {
+        filter_id,
+        ..bloom_spec()
+    };
+    let create = PipelinePlan {
+        label: "createbf".into(),
+        source: SourceSpec::Table(Arc::new(t)),
+        ops: vec![],
+        sink: SinkSpec::Buffer {
+            buf_id: 0,
+            blooms: vec![bloom(0)],
+        },
+        intermediate: true,
+        sink_schema: schema(),
+    };
+    let aggregate = PipelinePlan {
+        label: "aggregate".into(),
+        source: SourceSpec::Buffer(0),
+        ops: vec![],
+        sink: SinkSpec::Aggregate {
+            buf_id: 1,
+            group_cols: vec![0],
+            aggs: vec![
+                AggExpr::count_star("c"),
+                AggExpr {
+                    func: AggFunc::Sum,
+                    input: Some(Expr::col(1)),
+                    alias: "s".into(),
+                },
+            ],
+            input_types: vec![DataType::Int64, DataType::Int64],
+            output_schema: agg_schema.clone(),
+            key_dicts: vec![],
+        },
+        intermediate: true,
+        sink_schema: agg_schema.clone(),
+    };
+    let consume = PipelinePlan {
+        label: "consume".into(),
+        source: SourceSpec::Buffer(1),
+        ops: vec![],
+        sink: SinkSpec::Buffer {
+            buf_id: 2,
+            blooms: vec![bloom(1)],
+        },
+        intermediate: false,
+        sink_schema: agg_schema,
+    };
+    vec![create, aggregate, consume]
+}
+
+/// Buffer 2's full row sequence (partition concatenation order) after
+/// running [`keyed_dag`] on a one-worker pool.
+fn run_keyed_dag(keys: &[i64], partitions: usize) -> Vec<Vec<ScalarValue>> {
+    let ctx = ExecContext::new()
+        .with_workers(1)
+        .with_partitions(partitions);
+    let mut exec = Executor::new(ctx, 3, 2, 0);
+    exec.run_dag(&keyed_dag(keys)).unwrap();
+    exec.buffer(2)
+        .unwrap()
+        .iter()
+        .flat_map(|c| c.rows())
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// With one worker (`threads == 1`, the scheduler's ordered chains)
+    /// the keyed DAG is bit-deterministic: two runs of the same config
+    /// emit the same rows in the same order.
+    #[test]
+    fn keyed_dag_is_deterministic_single_threaded(
+        keys in proptest::collection::vec(-60i64..60, 1..250),
+        partitions in 1usize..=8,
+    ) {
+        let first = run_keyed_dag(&keys, partitions);
+        prop_assert_eq!(first, run_keyed_dag(&keys, partitions), "pc={} not deterministic", partitions);
+    }
 
     /// Partitioned `BufferSink` (CreateBF): contents equal the
     /// unpartitioned baseline as a multiset, every row lands in the

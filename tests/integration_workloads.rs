@@ -220,20 +220,52 @@ fn baseline_has_no_bloom_work_and_pt_variants_do() {
     assert_eq!(yan.metrics.bloom_build_rows, 0);
 }
 
-/// A non-boolean WHERE predicate is rejected at bind time with an error
-/// naming it, before any worker runs. (The executor's panic-to-`Error`
-/// path stays covered by the scheduler's exec-level tests.)
+/// Ill-typed expressions are rejected at bind time with an error naming
+/// them, before any worker runs, whatever the mode and storage layout: a
+/// non-boolean WHERE predicate, an arithmetic operand that is not a number
+/// (it would read dictionary codes), and a SUM / AVG argument that is not
+/// a number. (The executor's panic-to-`Error` path stays covered by the
+/// scheduler's exec-level tests.)
 #[test]
 fn non_boolean_where_is_a_bind_error() {
     let w = tpch(0.01, 1);
     let db = database_for(&w);
-    let err = db
-        .query(
+    for (sql, named) in [
+        (
             "SELECT COUNT(*) FROM orders WHERE o_orderkey",
-            &QueryOptions::new(Mode::RobustPredicateTransfer),
-        )
-        .expect_err("a non-boolean predicate must fail the query");
-    assert!(matches!(err, rpt_common::Error::Bind(_)), "got {err}");
-    let msg = err.to_string();
-    assert!(msg.contains("`o_orderkey`"), "predicate not named: {msg}");
+            "`o_orderkey`",
+        ),
+        (
+            "SELECT SUM(o_orderstatus + 1) FROM orders",
+            "`o_orderstatus + 1`",
+        ),
+        (
+            "SELECT COUNT(*) FROM orders WHERE o_orderkey + o_orderstatus > 1",
+            "`o_orderkey + o_orderstatus`",
+        ),
+        (
+            "SELECT SUM(o_orderstatus) FROM orders",
+            "`SUM(o_orderstatus)`",
+        ),
+        (
+            "SELECT AVG(o_orderstatus) FROM orders",
+            "`AVG(o_orderstatus)`",
+        ),
+    ] {
+        for mode in [Mode::Baseline, Mode::RobustPredicateTransfer] {
+            for storage in [true, false] {
+                let opts = QueryOptions::new(mode).with_storage_encoding(storage);
+                let err = db
+                    .query(sql, &opts)
+                    .expect_err("an ill-typed expression must fail the query");
+                let leg = format!("{sql} [{mode:?} storage={storage}]");
+                assert!(
+                    matches!(err, rpt_common::Error::Bind(_)),
+                    "{leg}: got {err}"
+                );
+                let msg = err.to_string();
+                assert!(msg.contains(named), "{leg}: expression not named: {msg}");
+            }
+        }
+    }
 }

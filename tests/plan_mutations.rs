@@ -2,18 +2,17 @@
 //! coverage.
 //!
 //! Positive: every corpus query's compiled plan verifies clean across
-//! `partition_count {1,8} × repartition_elide {on,off}` (statically) and
-//! end-to-end under `RPT_PLAN_VERIFY=strict`.
+//! `partition_count {1,8}` (statically) and end-to-end under
+//! `RPT_PLAN_VERIFY=strict`.
 //!
 //! Negative: single mutations of a healthy plan — a dropped dependency
-//! edge, a flipped distribution claim, a `Preserve` route on an ineligible
-//! pipeline, an orphaned output buffer, a dropped writer claim — must each
-//! be rejected with the expected stable rule id (`D6`, `P2`, `P1`, `D5`,
-//! `S1`), proving the rule families fire independently.
+//! edge, an orphaned output buffer, a dropped writer claim — must each be
+//! rejected with the expected stable rule id (`D6`, `D5`, `S1`), proving
+//! the rule families fire independently.
 
 use proptest::prelude::*;
 use rpt_core::{Database, Mode, PhysicalPlan, Planner, QueryOptions};
-use rpt_exec::{RouteMode, SinkSpec, SourceSpec, VerifyMode};
+use rpt_exec::VerifyMode;
 use rpt_workloads::{tpch, Workload};
 
 fn database_for(w: &Workload) -> Database {
@@ -43,10 +42,9 @@ const CORPUS: &[&str] = &[
      GROUP BY p.p_brand ORDER BY 2 DESC, 1 LIMIT 10",
 ];
 
-fn opts(pc: usize, elide: bool) -> QueryOptions {
+fn opts(pc: usize) -> QueryOptions {
     QueryOptions::new(Mode::RobustPredicateTransfer)
         .with_partition_count(pc)
-        .with_repartition_elide(elide)
         .with_plan_verify(VerifyMode::Strict)
 }
 
@@ -61,28 +59,14 @@ fn compile(db: &Database, sql: &str, o: &QueryOptions) -> PhysicalPlan {
 #[test]
 fn corpus_plans_verify_clean_static() {
     let db = database_for(&tpch(0.05, 42));
-    let mut preserve_total = 0usize;
     for sql in CORPUS {
         for pc in [1usize, 8] {
-            for elide in [false, true] {
-                let o = opts(pc, elide);
-                let plan = compile(&db, sql, &o);
-                let rep = plan.verify();
-                assert!(
-                    rep.is_clean(),
-                    "pc={pc} elide={elide} sql={sql}: {:?}",
-                    rep.errors
-                );
-                assert!(rep.checks_run > 0);
-                if elide && pc > 1 {
-                    preserve_total += rep.preserve_routes;
-                }
-            }
+            let plan = compile(&db, sql, &opts(pc));
+            let rep = plan.verify();
+            assert!(rep.is_clean(), "pc={pc} sql={sql}: {:?}", rep.errors);
+            assert!(rep.checks_run > 0);
         }
     }
-    // Elision must actually fire somewhere in the corpus — every Preserve
-    // route above was independently proven eligible by the verifier.
-    assert!(preserve_total > 0, "no corpus plan elided a repartition");
 }
 
 #[test]
@@ -90,16 +74,14 @@ fn corpus_runs_clean_under_strict_all_legs() {
     let db = database_for(&tpch(0.05, 42));
     for sql in CORPUS.iter().take(3) {
         for pc in [1usize, 8] {
-            for elide in [false, true] {
-                let o = opts(pc, elide).with_workers(4);
-                let r = db.query(sql, &o).unwrap_or_else(|e| {
-                    panic!("strict verify failed (pc={pc} elide={elide}): {e}")
-                });
-                assert!(
-                    r.metrics.verify_checks_run > 0,
-                    "no verify checks recorded (pc={pc} elide={elide})"
-                );
-            }
+            let o = opts(pc).with_workers(4);
+            let r = db
+                .query(sql, &o)
+                .unwrap_or_else(|e| panic!("strict verify failed (pc={pc}): {e}"));
+            assert!(
+                r.metrics.verify_checks_run > 0,
+                "no verify checks recorded (pc={pc})"
+            );
         }
     }
 }
@@ -113,7 +95,7 @@ fn scheduler_metrics_are_live() {
     let db = database_for(&tpch(0.05, 42));
     let sql = CORPUS[2];
     for workers in [1usize, 4] {
-        let o = opts(8, true).with_workers(workers).with_threads(2);
+        let o = opts(8).with_workers(workers).with_threads(2);
         let s = db.query(sql, &o).expect("query runs").metrics;
         assert!(s.scan_rows > 0, "w={workers}: scan_rows dead");
         assert!(
@@ -158,17 +140,16 @@ fn rule_ids(plan: &PhysicalPlan) -> Vec<&'static str> {
     plan.verify().errors.iter().map(|e| e.rule.id()).collect()
 }
 
-fn healthy_plan(pc: usize, elide: bool) -> PhysicalPlan {
+fn healthy_plan(pc: usize) -> PhysicalPlan {
     let db = database_for(&tpch(0.05, 42));
-    let o = opts(pc, elide);
-    let plan = compile(&db, CORPUS[2], &o);
+    let plan = compile(&db, CORPUS[2], &opts(pc));
     assert!(plan.verify().is_clean(), "fixture plan must start clean");
     plan
 }
 
 #[test]
 fn mutation_dropped_dep_edge_is_reads_divergence() {
-    let mut plan = healthy_plan(8, true);
+    let mut plan = healthy_plan(8);
     let i = plan
         .deps
         .iter()
@@ -181,7 +162,7 @@ fn mutation_dropped_dep_edge_is_reads_divergence() {
 
 #[test]
 fn mutation_dropped_writer_claim_is_writes_divergence() {
-    let mut plan = healthy_plan(8, true);
+    let mut plan = healthy_plan(8);
     plan.deps[0].writes.clear();
     let ids = rule_ids(&plan);
     assert!(ids.contains(&"S1"), "expected S1, got {ids:?}");
@@ -190,53 +171,20 @@ fn mutation_dropped_writer_claim_is_writes_divergence() {
 }
 
 #[test]
-fn mutation_flipped_distribution_claim_is_rejected() {
-    let mut plan = healthy_plan(8, true);
-    let b = plan
-        .distributions
-        .iter()
-        .position(|d| d.is_some())
-        .expect("some buffer carries a distribution claim");
-    plan.distributions[b] = Some(vec![41]);
-    let ids = rule_ids(&plan);
-    assert!(ids.contains(&"P2"), "expected P2, got {ids:?}");
-}
-
-#[test]
-fn mutation_ineligible_preserve_route_is_rejected() {
-    // Compile with elision off so every route starts Radix, then force a
-    // Preserve route onto a pipeline that cannot prove eligibility: a
-    // table-sourced pipeline has no partitioned input to preserve.
-    let mut plan = healthy_plan(8, false);
-    let i = plan
-        .pipelines
-        .iter()
-        .position(|p| {
-            matches!(&p.source, SourceSpec::Table(_) | SourceSpec::Scan { .. })
-                && !matches!(&p.sink, SinkSpec::Sort { .. })
-        })
-        .expect("plan has a table-sourced pipeline");
-    plan.pipelines[i].route = RouteMode::Preserve;
-    let ids = rule_ids(&plan);
-    assert!(ids.contains(&"P1"), "expected P1, got {ids:?}");
-}
-
-#[test]
 fn mutation_orphaned_output_buffer_is_rejected() {
-    let mut plan = healthy_plan(8, true);
+    let mut plan = healthy_plan(8);
     // Claim the result lives in a brand-new buffer that no pipeline writes.
     plan.num_buffers += 1;
     plan.output_buffer = plan.num_buffers - 1;
-    plan.distributions.push(None);
     let ids = rule_ids(&plan);
     assert!(ids.contains(&"D5"), "expected D5, got {ids:?}");
 }
 
 #[test]
 fn mutation_rule_ids_are_distinct_per_class() {
-    // The four headline mutation classes report four different rules —
+    // The three headline mutation classes report three different rules —
     // a diagnostic that always says "plan invalid" would be useless.
-    let ids = ["D6", "P2", "P1", "D5"];
+    let ids = ["D6", "S1", "D5"];
     let unique: std::collections::BTreeSet<_> = ids.iter().collect();
     assert_eq!(unique.len(), ids.len());
 }
@@ -251,11 +199,9 @@ proptest! {
     fn random_legs_verify_clean(
         qi in 0usize..4,
         pc_pow in 0u32..4,
-        elide in proptest::bool::ANY,
     ) {
         let db = database_for(&tpch(0.05, 42));
-        let o = opts(1usize << pc_pow, elide);
-        let plan = compile(&db, CORPUS[qi], &o);
+        let plan = compile(&db, CORPUS[qi], &opts(1usize << pc_pow));
         let rep = plan.verify();
         prop_assert!(rep.is_clean(), "{:?}", rep.errors);
     }
